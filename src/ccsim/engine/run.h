@@ -113,7 +113,7 @@ struct RunResult {
   // Audit (only when RunParams::enable_audit).
   bool audited = false;
   bool serializable = true;
-  // ccsim-analyze: cache-exempt(free-form diagnostic text; the cache stores the numeric audit verdict, not the prose)
+  // Not in the result cache, which stores the numeric verdict above.
   std::string audit_note;
 };
 

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "ccsim/sim/check.h"
 
@@ -20,11 +21,19 @@ namespace {
 constexpr char kDefaultDir[] = "ccsim_bench_cache";
 constexpr int kFormatVersion = 9;  // bump when RunResult fields change
 
-// One serialized field of RunResult. Serialization and parsing both walk
-// this table, so the two cannot drift apart and the field count in the
-// trailer is derived, not hand-maintained. Integer counters are written and
-// parsed as integers: routing them through double would silently corrupt
-// values above 2^53.
+// The cache schema: one row per serialized RunResult field, in file order.
+// Serialization and parsing both walk this table, so the two cannot drift
+// apart and the field count in the trailer is derived, not hand-maintained.
+// Integer counters are written and parsed as integers: routing them through
+// double would silently corrupt values above 2^53.
+//
+// A row names a member once. D/U/B stringize it into the key and take its
+// member pointer, so a key cannot differ from its member, a row of the wrong
+// type or naming a removed member does not compile, and the static_asserts
+// below reject a missing or duplicated row. Changing the schema means editing
+// RunResult, adding a row here and bumping kFormatVersion; the committed
+// cache then fails CommittedCache.EveryEntryRoundTrips until it is
+// regenerated.
 enum class FieldType { kDouble, kU64, kBool };
 
 struct Field {
@@ -35,91 +44,117 @@ struct Field {
   bool engine::RunResult::*b;
 };
 
-constexpr Field D(const char* key, double engine::RunResult::*m) {
-  return {key, FieldType::kDouble, m, nullptr, nullptr};
-}
-constexpr Field U(const char* key, std::uint64_t engine::RunResult::*m) {
-  return {key, FieldType::kU64, nullptr, m, nullptr};
-}
-constexpr Field B(const char* key, bool engine::RunResult::*m) {
-  return {key, FieldType::kBool, nullptr, nullptr, m};
+using R = engine::RunResult;
+#define D(m) Field{#m, FieldType::kDouble, &R::m, nullptr, nullptr}
+#define U(m) Field{#m, FieldType::kU64, nullptr, &R::m, nullptr}
+#define B(m) Field{#m, FieldType::kBool, nullptr, nullptr, &R::m}
+constexpr Field kFields[] = {
+    D(throughput),
+    D(mean_response_time),
+    D(rt_ci_half_width),
+    D(max_response_time),
+    D(rt_p50),
+    D(rt_p90),
+    D(rt_p99),
+    U(commits),
+    U(aborts),
+    D(abort_ratio),
+    U(aborts_local_deadlock),
+    U(aborts_global_deadlock),
+    U(aborts_wound),
+    U(aborts_timestamp),
+    U(aborts_certification),
+    U(aborts_die),
+    U(aborts_timeout),
+    D(host_cpu_util),
+    D(proc_cpu_util),
+    D(disk_util),
+    D(mean_blocking_time),
+    U(blocked_waits),
+    D(messages_per_commit),
+    U(transactions_submitted),
+    U(live_at_end),
+    U(events),
+    D(sim_seconds),
+    D(wall_seconds),
+    B(audited),
+    B(serializable),
+    // v6: fault metrics.
+    D(availability),
+    D(goodput),
+    U(node_crashes),
+    U(messages_dropped),
+    U(messages_lost),
+    U(aborts_node_crash),
+    U(aborts_comm_timeout),
+    U(forced_terminations),
+    // v7: tail-latency metrics.
+    D(rt_p999),
+    D(mean_queue_time),
+    D(mean_exec_time),
+    D(mean_commit_wait_time),
+    D(mean_restart_wasted_time),
+    D(mean_active_txns),
+    // v8: overload metrics.
+    U(txns_offered),
+    U(txns_admitted),
+    U(txns_shed),
+    U(txns_deadline_missed),
+    U(txns_retry_exhausted),
+    D(goodput_deadline),
+    D(admission_queue_mean),
+    U(admission_queue_max),
+    // v9: network-model metrics.
+    U(net_batches_sent),
+    U(net_msgs_batched),
+    U(net_local_fast_deliveries),
+    U(net_rdma_ops),
+    D(net_bytes_sent),
+    D(net_link_wait_sec_mean),
+};
+#undef D
+#undef U
+#undef B
+constexpr std::size_t kNumFields = std::size(kFields);
+static_assert(kNumFields < 64, "seen-field mask below is a uint64");
+
+// Number of members of aggregate T: the largest N for which T{a1, ..., aN}
+// compiles with arguments that convert to any member type.
+struct AnyField {
+  template <typename T>
+  operator T() const;  // never defined: only named in unevaluated checks
+};
+
+template <typename T, typename... Args>
+constexpr std::size_t FieldCount() {
+  if constexpr (requires { T{Args{}..., AnyField{}}; }) {
+    return FieldCount<T, Args..., AnyField>();
+  } else {
+    return sizeof...(Args);
+  }
 }
 
-using R = engine::RunResult;
-constexpr Field kFields[] = {
-    D("throughput", &R::throughput),
-    D("mean_response_time", &R::mean_response_time),
-    D("rt_ci_half_width", &R::rt_ci_half_width),
-    D("max_response_time", &R::max_response_time),
-    D("rt_p50", &R::rt_p50),
-    D("rt_p90", &R::rt_p90),
-    D("rt_p99", &R::rt_p99),
-    U("commits", &R::commits),
-    U("aborts", &R::aborts),
-    D("abort_ratio", &R::abort_ratio),
-    U("aborts_local_deadlock", &R::aborts_local_deadlock),
-    U("aborts_global_deadlock", &R::aborts_global_deadlock),
-    U("aborts_wound", &R::aborts_wound),
-    U("aborts_timestamp", &R::aborts_timestamp),
-    U("aborts_certification", &R::aborts_certification),
-    U("aborts_die", &R::aborts_die),
-    U("aborts_timeout", &R::aborts_timeout),
-    D("host_cpu_util", &R::host_cpu_util),
-    D("proc_cpu_util", &R::proc_cpu_util),
-    D("disk_util", &R::disk_util),
-    D("mean_blocking_time", &R::mean_blocking_time),
-    U("blocked_waits", &R::blocked_waits),
-    D("messages_per_commit", &R::messages_per_commit),
-    U("transactions_submitted", &R::transactions_submitted),
-    U("live_at_end", &R::live_at_end),
-    U("events", &R::events),
-    D("sim_seconds", &R::sim_seconds),
-    D("wall_seconds", &R::wall_seconds),
-    B("audited", &R::audited),
-    B("serializable", &R::serializable),
-    // v6: fault metrics. Appended so that v5 entries migrate by appending
-    // defaults (see tools/migrate_cache_v5_to_v6.py).
-    D("availability", &R::availability),
-    D("goodput", &R::goodput),
-    U("node_crashes", &R::node_crashes),
-    U("messages_dropped", &R::messages_dropped),
-    U("messages_lost", &R::messages_lost),
-    U("aborts_node_crash", &R::aborts_node_crash),
-    U("aborts_comm_timeout", &R::aborts_comm_timeout),
-    U("forced_terminations", &R::forced_terminations),
-    // v7: tail-latency metrics. Appended so that v6 entries migrate by
-    // appending defaults (see tools/migrate_cache_v6_to_v7.py).
-    D("rt_p999", &R::rt_p999),
-    D("mean_queue_time", &R::mean_queue_time),
-    D("mean_exec_time", &R::mean_exec_time),
-    D("mean_commit_wait_time", &R::mean_commit_wait_time),
-    D("mean_restart_wasted_time", &R::mean_restart_wasted_time),
-    D("mean_active_txns", &R::mean_active_txns),
-    // v8: overload metrics. Appended so that v7 entries migrate by appending
-    // defaults (see tools/migrate_cache_v7_to_v8.py; offered/admitted default
-    // to transactions_submitted and goodput_deadline to throughput, matching
-    // what the engine computes when OverloadParams are zero).
-    U("txns_offered", &R::txns_offered),
-    U("txns_admitted", &R::txns_admitted),
-    U("txns_shed", &R::txns_shed),
-    U("txns_deadline_missed", &R::txns_deadline_missed),
-    U("txns_retry_exhausted", &R::txns_retry_exhausted),
-    D("goodput_deadline", &R::goodput_deadline),
-    D("admission_queue_mean", &R::admission_queue_mean),
-    U("admission_queue_max", &R::admission_queue_max),
-    // v9: network-model metrics. Appended so that v8 entries migrate by
-    // appending defaults (see tools/migrate_cache_v8_to_v9.py; every field
-    // defaults to zero, matching what the engine reports under the default
-    // kSwitch model without batching).
-    U("net_batches_sent", &R::net_batches_sent),
-    U("net_msgs_batched", &R::net_msgs_batched),
-    U("net_local_fast_deliveries", &R::net_local_fast_deliveries),
-    U("net_rdma_ops", &R::net_rdma_ops),
-    D("net_bytes_sent", &R::net_bytes_sent),
-    D("net_link_wait_sec_mean", &R::net_link_wait_sec_mean),
+struct FieldCountProbe {
+  double a;
+  std::string b;
+  bool c;
 };
-constexpr std::size_t kNumFields = std::size(kFields);
-static_assert(kNumFields <= 64, "seen-field mask below is a uint64");
+static_assert(FieldCount<FieldCountProbe>() == 3, "FieldCount is broken");
+
+// Every RunResult member has a row, except audit_note: free-form diagnostic
+// text, while the cache stores the numeric audit verdict.
+static_assert(FieldCount<engine::RunResult>() == kNumFields + 1,
+              "kFields needs one row per RunResult member");
+
+constexpr bool KeysAreUnique() {
+  for (std::size_t i = 0; i < kNumFields; ++i) {
+    for (std::size_t j = i + 1; j < kNumFields; ++j) {
+      if (std::string_view(kFields[i].key) == kFields[j].key) return false;
+    }
+  }
+  return true;
+}
+static_assert(KeysAreUnique(), "duplicate row in kFields");
 
 bool ParseDouble(const std::string& token, double* out) {
   if (token.empty()) return false;

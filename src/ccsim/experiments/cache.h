@@ -52,6 +52,9 @@ class ResultCache {
 
   const std::string& directory() const { return dir_; }
 
+  /// Entry file for `config`: <directory>/v<format>_<fingerprint>.result.
+  std::string PathFor(const config::SystemConfig& config) const;
+
   /// Number of simulations this cache object actually executed (cache
   /// misses that ran). Exposed so tests can assert single-flight behavior.
   std::uint64_t simulations_run() const {
@@ -59,7 +62,6 @@ class ResultCache {
   }
 
  private:
-  std::string PathFor(const config::SystemConfig& config) const;
   std::string dir_;
 
   // Single-flight state: fingerprints currently being simulated by some

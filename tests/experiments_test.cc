@@ -5,7 +5,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "ccsim/experiments/cache.h"
 #include "ccsim/experiments/experiments.h"
@@ -89,6 +92,50 @@ TEST(ResultSerialization, RejectsGarbage) {
   EXPECT_FALSE(ParseResult("").has_value());
   EXPECT_FALSE(ParseResult("throughput abc").has_value());
   EXPECT_FALSE(ParseResult("throughput 1.0").has_value());  // too few fields
+}
+
+// The paper's figures are regenerated from the committed cache, so every
+// entry must carry the current format version in its name, parse, and
+// re-serialize to the same bytes. A schema change fails here until the
+// committed entries are regenerated. Only the file text is read: Load would
+// quarantine (rename) an entry it cannot parse.
+TEST(CommittedCache, EveryEntryRoundTrips) {
+  namespace fs = std::filesystem;
+  // "v<format>_", as the cache names the entries it writes today.
+  const std::string current = fs::path(ResultCache("").PathFor(
+      config::SystemConfig{})).filename().string();
+  const std::string prefix = current.substr(0, current.find('_') + 1);
+  const std::regex name_re(prefix + "[0-9a-f]{16}\\.result");
+  std::vector<std::string> misnamed;
+  std::vector<std::string> unparsable;
+  std::vector<std::string> changed;
+  std::size_t entries = 0;
+  for (const auto& entry : fs::directory_iterator(CCSIM_COMMITTED_CACHE_DIR)) {
+    const std::string name = entry.path().filename().string();
+    ++entries;
+    if (!std::regex_match(name, name_re)) misnamed.push_back(name);
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::stringstream text;
+    text << in.rdbuf();
+    auto parsed = ParseResult(text.str());
+    if (!parsed) {
+      unparsable.push_back(name);
+    } else if (SerializeResult(*parsed) != text.str()) {
+      changed.push_back(name);
+    }
+  }
+  auto join = [](const std::vector<std::string>& names) {
+    std::string out;
+    for (const auto& n : names) out += " " + n;
+    return out;
+  };
+  EXPECT_GT(entries, 0u);
+  EXPECT_TRUE(misnamed.empty()) << "not named " << prefix << "<16 hex>.result:"
+                                << join(misnamed);
+  EXPECT_TRUE(unparsable.empty()) << "rejected by ParseResult:"
+                                  << join(unparsable);
+  EXPECT_TRUE(changed.empty()) << "re-serialized differently:"
+                               << join(changed);
 }
 
 TEST(ResultCache, MissThenHit) {

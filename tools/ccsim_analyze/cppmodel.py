@@ -302,7 +302,8 @@ def function_body(sf: SourceFile, signature_re: str) -> tuple[str, int] | None:
 
 
 # --------------------------------------------------------------------------
-# Shared helpers for container/variable discovery (used by the taint pass).
+# Shared helpers for container/variable discovery (used by the taint and
+# alloc passes and by ccsim_lint).
 
 # std::unordered_* plus the in-tree open-addressing FlatHashMap
 # (common/flat_hash.h): its ForEach order is hash-table order, the same
@@ -313,9 +314,9 @@ UNORDERED_DECL_RE = re.compile(
 
 
 def find_unordered_names(sf_or_text) -> set[str]:
-    """Names declared with an unordered container type (same heuristic as
-    ccsim_lint: balanced template args, then an identifier that starts a
-    declarator)."""
+    """Names declared with an unordered container type (also used by
+    ccsim_lint): balanced template args, then an identifier that starts a
+    declarator."""
     text = sf_or_text.text if isinstance(sf_or_text, SourceFile) else sf_or_text
     names: set[str] = set()
     for m in UNORDERED_DECL_RE.finditer(text):

@@ -51,7 +51,12 @@ from __future__ import annotations
 import os
 import re
 import sys
-from dataclasses import dataclass
+
+# The C++ scanning helpers are shared with the semantic analyzer.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "ccsim_analyze"))
+from cppmodel import (  # noqa: E402
+    Finding, find_unordered_names, strip_comments_and_strings)
 
 CXX_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp", ".cxx")
 
@@ -76,72 +81,7 @@ BARE_ASSERT_RE = re.compile(r"(?<![\w])assert\s*\(")
 NO_ABORT_RE = re.compile(
     r"(?<![\w])(?:std\s*::\s*)?(?:abort|exit|_exit|quick_exit)\s*\(")
 
-# std::unordered_* plus the in-tree FlatHashMap (common/flat_hash.h), whose
-# ForEach visits entries in hash-table order — the same determinism hazard.
-UNORDERED_DECL_RE = re.compile(
-    r"(?:std\s*::\s*)?unordered_(?:multi)?(?:map|set)\s*<"
-    r"|(?:common\s*::\s*)?FlatHashMap\s*<")
-
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*([<"])([^>"]+)[>"]')
-
-
-@dataclass
-class Finding:
-    path: str
-    line: int
-    rule: str
-    message: str
-
-    def format(self) -> str:
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
-
-def strip_comments_and_strings(lines: list[str]) -> list[str]:
-    """Returns per-line code with comments and string/char literals blanked.
-
-    Keeps line lengths irrelevant; only token presence matters. Handles //
-    and /* */ comments and simple escapes within literals. Raw strings are
-    treated like plain strings (good enough for this codebase).
-    """
-    out = []
-    in_block = False
-    for line in lines:
-        code = []
-        i = 0
-        n = len(line)
-        while i < n:
-            c = line[i]
-            nxt = line[i + 1] if i + 1 < n else ""
-            if in_block:
-                if c == "*" and nxt == "/":
-                    in_block = False
-                    i += 2
-                else:
-                    i += 1
-                continue
-            if c == "/" and nxt == "/":
-                break  # rest of line is a comment
-            if c == "/" and nxt == "*":
-                in_block = True
-                i += 2
-                continue
-            if c in ('"', "'"):
-                quote = c
-                i += 1
-                while i < n:
-                    if line[i] == "\\":
-                        i += 2
-                        continue
-                    if line[i] == quote:
-                        i += 1
-                        break
-                    i += 1
-                code.append(quote + quote)  # keep a token boundary
-                continue
-            code.append(c)
-            i += 1
-        out.append("".join(code))
-    return out
 
 
 def annotated_rules(raw_lines: list[str], lineno: int) -> dict[str, str]:
@@ -168,34 +108,6 @@ def waived(findings: list[Finding], raw_lines: list[str], finding: Finding) -> b
                     f"annotation {finding.rule}-ok() needs a reason"))
         return False
     return True
-
-
-def find_unordered_names(code_lines: list[str]) -> set[str]:
-    """Names of variables/members declared with an unordered container type.
-
-    Heuristic: after `unordered_xxx<...>` (balanced angle brackets), an
-    identifier followed by ; = { ( , marks a declaration. Type aliases and
-    nested uses are conservatively included.
-    """
-    text = "\n".join(code_lines)
-    names: set[str] = set()
-    for m in UNORDERED_DECL_RE.finditer(text):
-        i = m.end()  # just past '<'
-        depth = 1
-        n = len(text)
-        while i < n and depth > 0:
-            if text[i] == "<":
-                depth += 1
-            elif text[i] == ">":
-                depth -= 1
-            i += 1
-        if depth != 0:
-            continue
-        rest = text[i:i + 160]
-        dm = re.match(r"\s*&?\s*([A-Za-z_]\w*)\s*[;={(,)]", rest)
-        if dm:
-            names.add(dm.group(1))
-    return names
 
 
 def expected_guard(path: str, root: str) -> str:
@@ -272,7 +184,7 @@ def lint_file(path: str, root: str) -> list[Finding]:
     # Members are typically *declared* in the header and *iterated* in the
     # sibling .cc, so collect unordered names from companion files too
     # (foo.cc <-> foo.h/foo.hpp).
-    names = find_unordered_names(code)
+    names = find_unordered_names("\n".join(code))
     stem = re.sub(r"\.(h|hpp|cc|cpp|cxx)$", "", path)
     for ext in CXX_EXTENSIONS:
         companion = stem + ext
@@ -281,8 +193,8 @@ def lint_file(path: str, root: str) -> list[Finding]:
         try:
             with open(companion, "r", encoding="utf-8",
                       errors="replace") as f:
-                names |= find_unordered_names(
-                    strip_comments_and_strings(f.read().splitlines()))
+                names |= find_unordered_names("\n".join(
+                    strip_comments_and_strings(f.read().splitlines())))
         except OSError:
             pass
     if names:

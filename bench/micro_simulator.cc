@@ -140,6 +140,53 @@ void BM_LockTableGrantRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_LockTableGrantRelease);
 
+// Local deadlock detection against lock-table size: Arg(0) pages are locked
+// by single holders, and a fixed chain of kChain transactions waits each on
+// the next one's page. Each iteration blocks a new transaction behind the
+// chain's head, searches for a cycle from it (none: the chain ends at a
+// holder that does not wait) and aborts it. The search walks the
+// chain, so the time per iteration should not grow with the locked pages;
+// tools/check_bench_regression.py gates the 25600/1024 time ratio.
+void BM_LocalDeadlockDetect(benchmark::State& state) {
+  constexpr int kChain = 150;
+  const int pages = static_cast<int>(state.range(0));
+  sim::Simulation sim;
+  cc::LockTable table(&sim);
+  auto make_txn = [](TxnId id) {
+    auto txn = std::make_shared<txn::Transaction>(
+        id,
+        workload::TransactionSpec{
+            0, 0, 0, config::ExecPattern::kParallel,
+            {workload::CohortSpec{1, {workload::PageAccess{PageRef{0, 0},
+                                                           false}}}}},
+        static_cast<double>(id), nullptr);
+    txn->BeginAttempt(static_cast<double>(id));
+    return txn;
+  };
+  std::vector<txn::TxnPtr> holders;
+  for (int p = 0; p < pages; ++p) {
+    holders.push_back(make_txn(static_cast<TxnId>(p + 1)));
+    table.Request(holders.back(), PageRef{0, p}, cc::LockMode::kExclusive);
+  }
+  // Holder i (i < kChain) waits for page i + 1, held by holder i + 1.
+  for (int i = 0; i < kChain; ++i) {
+    table.Request(holders[static_cast<std::size_t>(i)], PageRef{0, i + 1},
+                  cc::LockMode::kExclusive);
+  }
+  auto blocked = make_txn(static_cast<TxnId>(pages + 1));
+  std::size_t found = 0;
+  for (auto _ : state) {
+    table.Request(blocked, PageRef{0, 0}, cc::LockMode::kExclusive);
+    cc::LockTable::DeadlockCycle cycle = table.FindCycleFrom(blocked->id());
+    benchmark::DoNotOptimize(cycle.victim);
+    found += cycle.members.size();
+    table.ReleaseAll(blocked->id(), /*abort_waiters=*/true);
+  }
+  if (found != 0) state.SkipWithError("the waiter chain must be acyclic");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LocalDeadlockDetect)->Arg(1024)->Arg(25600);
+
 // Whole-machine simulation rate: simulated events per wall second for a
 // short paper-shaped run under each algorithm.
 void BM_FullSimulation(benchmark::State& state) {

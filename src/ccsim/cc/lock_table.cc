@@ -248,11 +248,15 @@ std::vector<WaitEdge> LockTable::WaitsForEdges() const {
   // from them. entries_ iterates in hash-table order, so walk keys in
   // sorted order instead: the edge list is identical across runs and
   // stdlib versions.
+  // Only pages with a queue carry edges, so only those are sorted: the
+  // cost is O(waiters), not O(locked pages) (almost every locked page has
+  // a single holder and nobody waiting).
   std::vector<std::uint64_t> keys;
-  keys.reserve(entries_.size());
+  keys.reserve(waiting_count_);
   // ccsim-lint: unordered-iter-ok(collects keys only; sorted before use)
-  entries_.ForEach(
-      [&keys](std::uint64_t key, const Entry&) { keys.push_back(key); });
+  entries_.ForEach([&keys](std::uint64_t key, const Entry& entry) {
+    if (entry.queue) keys.push_back(key);
+  });
   std::sort(keys.begin(), keys.end());
   for (std::uint64_t key : keys) {
     const Entry& entry = *entries_.Find(key);
@@ -276,6 +280,111 @@ std::vector<WaitEdge> LockTable::WaitsForEdges() const {
     }
   }
   return edges;
+}
+
+std::size_t LockTable::CollectWaits(TxnId txn) const {
+  std::size_t begin = dfs_waits_.size();
+  const KeyList* keys = txn_keys_.Find(txn);
+  if (keys == nullptr) return begin;
+  for (std::uint64_t key : *keys) {
+    const Entry* entry = entries_.Find(key);
+    if (entry == nullptr || !entry->queue) continue;
+    const WaitQueue& queue = *entry->queue;
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      if (queue[i].txn->id() == txn) {
+        dfs_waits_.push_back(WaitSlot{key, entry, i});
+        break;
+      }
+    }
+  }
+  // A queued upgrade's key sits in txn_keys_ twice (held and waited).
+  auto by_key = [](const WaitSlot& a, const WaitSlot& b) {
+    return a.key < b.key;
+  };
+  auto first = dfs_waits_.begin() + static_cast<std::ptrdiff_t>(begin);
+  std::sort(first, dfs_waits_.end(), by_key);
+  dfs_waits_.erase(
+      std::unique(first, dfs_waits_.end(),
+                  [](const WaitSlot& a, const WaitSlot& b) {
+                    return a.key == b.key;
+                  }),
+      dfs_waits_.end());
+  return begin;
+}
+
+const txn::Transaction* LockTable::NextNeighbour(DfsFrame& frame) const {
+  // The same tests, in the same order, as WaitsForEdges() applies to this
+  // waiter.
+  TxnId self = frame.txn->id();
+  for (; frame.wait < frame.wait_end; ++frame.wait, frame.edge = 0) {
+    const WaitSlot& slot = dfs_waits_[frame.wait];
+    const Entry& entry = *slot.entry;
+    const Waiter& w = (*entry.queue)[slot.pos];
+    std::size_t num_holders = entry.holders.size();
+    while (frame.edge < num_holders) {
+      const Holder& h = entry.holders[frame.edge++];
+      if (h.id != self && (w.is_upgrade || Conflicts(h.mode, w.mode))) {
+        return h.txn.get();
+      }
+    }
+    while (frame.edge < num_holders + slot.pos) {
+      const Waiter& ahead = (*entry.queue)[frame.edge++ - num_holders];
+      if (ahead.mode == LockMode::kExclusive ||
+          w.mode == LockMode::kExclusive) {
+        return ahead.txn.get();
+      }
+    }
+  }
+  return nullptr;
+}
+
+// ccsim-analyze: hot-path(runs whenever a cohort blocks under 2PL)
+LockTable::DeadlockCycle LockTable::FindCycleFrom(TxnId start) const {
+  constexpr unsigned char kOnPath = 1;
+  constexpr unsigned char kDone = 2;
+  dfs_marks_.Clear();
+  dfs_stack_.clear();
+  dfs_waits_.clear();
+  dfs_cycle_.clear();
+
+  std::size_t begin = CollectWaits(start);
+  if (dfs_waits_.size() == begin) return {};  // not waiting: no out-edges
+  const WaitSlot& own = dfs_waits_[begin];
+  dfs_stack_.push_back(DfsFrame{(*own.entry->queue)[own.pos].txn.get(),
+                                begin, dfs_waits_.size(), begin, 0});
+  dfs_marks_[start] = kOnPath;
+
+  while (!dfs_stack_.empty()) {
+    const txn::Transaction* next = NextNeighbour(dfs_stack_.back());
+    if (next == nullptr) {
+      const DfsFrame& done = dfs_stack_.back();
+      dfs_marks_[done.txn->id()] = kDone;
+      dfs_waits_.erase(
+          dfs_waits_.begin() + static_cast<std::ptrdiff_t>(done.wait_begin),
+          dfs_waits_.end());
+      dfs_stack_.pop_back();
+      continue;
+    }
+    auto [mark, fresh] = dfs_marks_.TryEmplace(next->id(), kOnPath);
+    if (fresh) {
+      std::size_t waits = CollectWaits(next->id());
+      dfs_stack_.push_back(
+          DfsFrame{next, waits, dfs_waits_.size(), waits, 0});
+      continue;
+    }
+    if (*mark != kOnPath) continue;
+    // Back-edge onto the path: the cycle is the path suffix from `next`.
+    std::size_t pos = dfs_stack_.size() - 1;
+    while (dfs_stack_[pos].txn->id() != next->id()) --pos;
+    const txn::Transaction* youngest = next;
+    for (; pos < dfs_stack_.size(); ++pos) {
+      const txn::Transaction* member = dfs_stack_[pos].txn;
+      dfs_cycle_.push_back(member->id());
+      if (youngest->initial_ts() < member->initial_ts()) youngest = member;
+    }
+    return DeadlockCycle{dfs_cycle_, youngest->id()};
+  }
+  return {};
 }
 
 bool LockTable::IsWaiting(TxnId txn) const {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ccsim/cc/cc_manager.h"
@@ -95,11 +96,32 @@ class LockTable {
   /// timeout-based blocking.
   bool CancelRequest(TxnId txn, const PageRef& page);
 
-  /// Txn-level waits-for edges over the current queues.
+  /// Txn-level waits-for edges over the current queues, for the Snoop's
+  /// global graph. Emitted by waited page key ascending; per waiter the
+  /// conflicting holders (TxnId order), then the conflicting waiters queued
+  /// ahead (queue order).
   std::vector<WaitEdge> WaitsForEdges() const;
 
-  /// Blockers of one waiting transaction (for local deadlock detection the
-  /// caller usually wants WaitsForEdges(); this is a convenience for tests).
+  /// A cycle found by FindCycleFrom(). `members` views scratch storage that
+  /// the next FindCycleFrom() call overwrites.
+  struct DeadlockCycle {
+    /// DFS path order, starting at the member the search re-entered; empty
+    /// when there is no cycle.
+    std::span<const TxnId> members;
+    /// Youngest member (largest initial_ts, first on ties): the victim.
+    TxnId victim = 0;
+  };
+
+  /// Local deadlock detection (Sec 2.2): a depth-first search from `start`
+  /// straight over the queues, building no edge list and no graph. Each
+  /// transaction's out-neighbours are generated in exactly the order
+  /// WaitsForEdges() emits its edges, so the cycle and victim are the ones
+  /// WaitsForGraph::FindCycleFrom(start) finds on those edges (DESIGN.md
+  /// decision #6). Costs what the reachable waiters cost, not what the
+  /// locked pages cost.
+  DeadlockCycle FindCycleFrom(TxnId start) const;
+
+  /// Whether `txn` has a request queued on any page of this table.
   bool IsWaiting(TxnId txn) const;
   bool HoldsLock(TxnId txn, const PageRef& page) const;
   std::size_t num_locked_pages() const { return entries_.size(); }
@@ -145,7 +167,30 @@ class LockTable {
     /// dropped eagerly when the last waiter leaves.
     std::unique_ptr<WaitQueue> queue;
   };
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+  // The megascale memory figure (DESIGN.md decision #12) rests on this
+  // size: with its 8-byte key, one 72-byte slot of the flat table.
+  static_assert(sizeof(Entry) == 64, "lock-table Entry grew");
+#endif
   using KeyList = common::SmallVec<std::uint64_t, 8>;
+
+  /// One page `txn` waits on, during a FindCycleFrom() search: its entry and
+  /// `txn`'s position in that entry's queue.
+  struct WaitSlot {
+    std::uint64_t key = 0;
+    const Entry* entry = nullptr;
+    std::size_t pos = 0;
+  };
+  /// One transaction on the FindCycleFrom() path. Its waits are
+  /// dfs_waits_[wait_begin, wait_end); `wait` and `edge` are the cursor of
+  /// its next out-neighbour.
+  struct DfsFrame {
+    const txn::Transaction* txn = nullptr;
+    std::size_t wait_begin = 0;
+    std::size_t wait_end = 0;
+    std::size_t wait = 0;
+    std::size_t edge = 0;
+  };
 
   static std::size_t QueueSize(const Entry& entry) {
     return entry.queue ? entry.queue->size() : 0;
@@ -166,6 +211,12 @@ class LockTable {
   bool CanGrant(const Entry& entry, TxnId txn, LockMode mode) const;
   void PumpQueue(std::uint64_t key);
 
+  /// Appends the pages `txn` waits on to dfs_waits_, key ascending, and
+  /// returns where they begin.
+  std::size_t CollectWaits(TxnId txn) const;
+  /// Advances `frame` to its next out-neighbour; nullptr when exhausted.
+  const txn::Transaction* NextNeighbour(DfsFrame& frame) const;
+
   sim::Simulation* sim_;
   GrantCallback on_delayed_grant_;
   bool allow_queue_jump_ = false;
@@ -174,6 +225,12 @@ class LockTable {
   common::FlatHashMap<TxnId, KeyList> txn_keys_;
   stats::Tally wait_times_;
   std::size_t waiting_count_ = 0;
+
+  // FindCycleFrom() scratch, reused across calls (not lock state).
+  mutable common::FlatHashMap<TxnId, unsigned char> dfs_marks_;
+  mutable std::vector<DfsFrame> dfs_stack_;
+  mutable std::vector<WaitSlot> dfs_waits_;
+  mutable std::vector<TxnId> dfs_cycle_;
 };
 
 }  // namespace ccsim::cc

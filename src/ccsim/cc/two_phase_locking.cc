@@ -1,6 +1,5 @@
 #include "ccsim/cc/two_phase_locking.h"
 
-#include "ccsim/cc/waits_for_graph.h"
 #include "ccsim/sim/check.h"
 
 namespace ccsim::cc {
@@ -47,16 +46,12 @@ TwoPhaseLockingManager::RequestAccess(const txn::TxnPtr& txn, int cohort_index,
 }
 
 void TwoPhaseLockingManager::DetectLocalDeadlock(const txn::TxnPtr& txn) {
-  WaitsForGraph graph;
-  graph.AddEdges(lock_table_.WaitsForEdges());
-  auto cycle = graph.FindCycleFrom(txn->id());
-  if (!cycle.empty()) {
-    TxnId victim_id = graph.YoungestOf(cycle);
-    txn::TxnPtr victim = FindTxn(victim_id);
-    CCSIM_CHECK_MSG(victim != nullptr, "deadlock victim not registered");
-    ctx_->RequestAbort(victim, victim->attempt(), node_,
-                       txn::AbortReason::kLocalDeadlock);
-  }
+  LockTable::DeadlockCycle cycle = lock_table_.FindCycleFrom(txn->id());
+  if (cycle.members.empty()) return;
+  txn::TxnPtr victim = FindTxn(cycle.victim);
+  CCSIM_CHECK_MSG(victim != nullptr, "deadlock victim not registered");
+  ctx_->RequestAbort(victim, victim->attempt(), node_,
+                     txn::AbortReason::kLocalDeadlock);
 }
 
 void TwoPhaseLockingManager::CommitCohort(const txn::TxnPtr& txn,

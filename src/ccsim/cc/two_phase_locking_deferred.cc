@@ -15,6 +15,7 @@ TwoPhaseLockingDeferredManager::RequestAccess(const txn::TxnPtr& txn,
                                               int cohort_index,
                                               const PageRef& page,
                                               AccessMode mode) {
+  (void)cohort_index;
   if (mode == AccessMode::kWrite) {
     // Remember the page for the prepare-time upgrade, but lock it shared
     // for now. (The version audit still treats it as a blind write: the

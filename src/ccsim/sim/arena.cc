@@ -111,7 +111,9 @@ void Arena::Reset() {
   CCSIM_CHECK_MSG(live_blocks_ == 0 || !pages_.empty(),
                   "Reset of a corrupted arena");
   for (FreeBlock*& head : free_lists_) head = nullptr;
-  for (unsigned char* page : pages_) CCSIM_ARENA_POISON(page, kPageBytes);
+  for ([[maybe_unused]] unsigned char* page : pages_) {
+    CCSIM_ARENA_POISON(page, kPageBytes);
+  }
   current_page_ = 0;
   cursor_ = 0;
   live_blocks_ = 0;

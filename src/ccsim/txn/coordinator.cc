@@ -358,6 +358,7 @@ void CoordinatorService::OnPhaseTimeout(const TxnPtr& txn, int attempt) {
       break;
     case TxnPhase::kRestartWait:
     case TxnPhase::kCommitted:
+    case TxnPhase::kAbandoned:
       break;  // already resolved; stray timer
   }
 }
@@ -464,6 +465,7 @@ void CoordinatorService::OnNodeCrash(NodeId node) {
       }
       case TxnPhase::kRestartWait:
       case TxnPhase::kCommitted:
+      case TxnPhase::kAbandoned:
         break;
     }
   }

@@ -101,6 +101,94 @@ TEST_P(LockTableFuzz, RandomScheduleMaintainsInvariants) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LockTableFuzz,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
 
+// --- Local deadlock detection vs the waits-for graph ------------------------
+
+// Random lock-table states: shared/exclusive requests, upgrades, several
+// simultaneous waits per transaction (as 2PL-DW's prepare-time upgrades
+// make), queue jumping on and off, partial releases and cancelled
+// requests. For every transaction, LockTable::FindCycleFrom must return the
+// cycle, member for member, and the victim that WaitsForGraph finds on the
+// table's WaitsForEdges().
+class LocalDetectFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LocalDetectFuzz, LockTableSearchMatchesGraphOracle) {
+  sim::RandomStream rng(GetParam(), 4);
+  int cycles_seen = 0;
+  for (int round = 0; round < 30; ++round) {
+    sim::Simulation sim;
+    LockTable table(&sim);
+    table.set_allow_queue_jump(round % 2 == 1);
+    const int num_txns = static_cast<int>(rng.UniformInt(3, 14));
+    const int num_pages = static_cast<int>(rng.UniformInt(2, 8));
+    std::vector<txn::TxnPtr> txns;
+    for (int i = 0; i < num_txns; ++i) {
+      txns.push_back(MakeTxn(static_cast<TxnId>(i + 1), 1, {PageRef{0, 0}}, 0,
+                             static_cast<double>(rng.UniformInt(0, 5))));
+    }
+    // (txn index, page) -> mode requested so far; absent = not requested.
+    std::map<std::pair<int, int>, LockMode> requested;
+    std::vector<bool> alive(static_cast<std::size_t>(num_txns), true);
+
+    auto check_all = [&] {
+      WaitsForGraph graph;
+      graph.AddEdges(table.WaitsForEdges());
+      for (const auto& t : txns) {
+        std::vector<TxnId> expected = graph.FindCycleFrom(t->id());
+        LockTable::DeadlockCycle got = table.FindCycleFrom(t->id());
+        ASSERT_EQ(std::vector<TxnId>(got.members.begin(), got.members.end()),
+                  expected)
+            << "seed " << GetParam() << " round " << round << " txn "
+            << t->id();
+        if (!expected.empty()) {
+          EXPECT_EQ(got.victim, graph.YoungestOf(expected));
+          ++cycles_seen;
+        }
+      }
+    };
+
+    for (int op = 0; op < 120; ++op) {
+      int i = static_cast<int>(rng.UniformInt(0, num_txns - 1));
+      const auto& t = txns[static_cast<std::size_t>(i)];
+      int page = static_cast<int>(rng.UniformInt(0, num_pages - 1));
+      int kind = static_cast<int>(rng.UniformInt(0, 9));
+      if (!alive[static_cast<std::size_t>(i)]) continue;
+      auto it = requested.find({i, page});
+      if (kind < 7) {
+        if (it == requested.end()) {
+          LockMode mode =
+              rng.Bernoulli(0.4) ? LockMode::kExclusive : LockMode::kShared;
+          requested[{i, page}] = mode;
+          table.Request(t, PageRef{0, page}, mode);
+        } else if (it->second == LockMode::kShared &&
+                   table.HoldsLock(t->id(), PageRef{0, page})) {
+          it->second = LockMode::kExclusive;  // upgrade
+          table.Request(t, PageRef{0, page}, LockMode::kExclusive);
+        }
+      } else if (kind < 9) {
+        if (it != requested.end() &&
+            table.CancelRequest(t->id(), PageRef{0, page})) {
+          // A cancelled upgrade keeps its shared hold.
+          if (table.HoldsLock(t->id(), PageRef{0, page})) {
+            it->second = LockMode::kShared;
+          } else {
+            requested.erase(it);
+          }
+        }
+      } else {
+        table.ReleaseAll(t->id(), /*abort_waiters=*/true);
+        alive[static_cast<std::size_t>(i)] = false;
+      }
+      check_all();
+      if (HasFatalFailure()) return;
+    }
+    for (const auto& t : txns) table.ReleaseAll(t->id(), true);
+  }
+  EXPECT_GT(cycles_seen, 0) << "the fuzz never built a deadlock";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LocalDetectFuzz,
+                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
+
 // --- Waits-for graph vs brute-force oracle -----------------------------------
 
 // Brute force: does any cycle exist? (DFS from every node with a recursion
@@ -166,6 +254,94 @@ TEST_P(WfgFuzz, ResolveAllDeadlocksAgreesWithOracleAndTerminates) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WfgFuzz,
                          ::testing::Values(11u, 22u, 33u, 44u, 55u));
+
+// Reference for ResolveAllDeadlocks(): a fresh DFS from every node in
+// TxnId order, starting over after each victim is removed from the graph.
+// Edge insertion order decides DFS order; the youngest member (largest
+// timestamp, first on ties) of the first cycle found is the victim.
+std::vector<TxnId> FreshSearchPerStartVictims(
+    const std::vector<WaitEdge>& edges) {
+  struct Node {
+    Timestamp ts;
+    std::vector<TxnId> out;
+  };
+  std::map<TxnId, Node> nodes;
+  for (const WaitEdge& e : edges) {
+    if (e.waiter == e.holder) continue;
+    nodes.try_emplace(e.holder, Node{e.holder_ts, {}});
+    nodes.try_emplace(e.waiter, Node{e.waiter_ts, {}});
+    nodes[e.waiter].out.push_back(e.holder);
+  }
+  auto find_cycle_from = [&nodes](TxnId start) {
+    std::map<TxnId, int> state;  // 0 new, 1 on path, 2 done
+    std::vector<std::pair<TxnId, std::size_t>> stack{{start, 0}};
+    std::vector<TxnId> path{start};
+    state[start] = 1;
+    while (!stack.empty()) {
+      auto& [node, idx] = stack.back();
+      const auto& outs = nodes.at(node).out;
+      if (idx >= outs.size()) {
+        state[node] = 2;
+        stack.pop_back();
+        path.pop_back();
+        continue;
+      }
+      TxnId next = outs[idx++];
+      if (state[next] == 1) {
+        return std::vector<TxnId>(
+            std::find(path.begin(), path.end(), next), path.end());
+      }
+      if (state[next] == 0) {
+        state[next] = 1;
+        stack.emplace_back(next, 0);
+        path.push_back(next);
+      }
+    }
+    return std::vector<TxnId>{};
+  };
+  std::vector<TxnId> victims;
+  for (;;) {
+    std::vector<TxnId> cycle;
+    for (const auto& [id, node] : nodes) {
+      cycle = find_cycle_from(id);
+      if (!cycle.empty()) break;
+    }
+    if (cycle.empty()) return victims;
+    TxnId victim = cycle.front();
+    for (TxnId id : cycle) {
+      if (nodes.at(victim).ts < nodes.at(id).ts) victim = id;
+    }
+    victims.push_back(victim);
+    nodes.erase(victim);
+    for (auto& [id, node] : nodes) {
+      node.out.erase(std::remove(node.out.begin(), node.out.end(), victim),
+                     node.out.end());
+    }
+  }
+}
+
+TEST_P(WfgFuzz, VictimSequenceMatchesFreshSearchPerStart) {
+  sim::RandomStream rng(GetParam(), 3);
+  for (int round = 0; round < 200; ++round) {
+    int n = static_cast<int>(rng.UniformInt(2, 24));
+    int num_edges = static_cast<int>(rng.UniformInt(0, 3 * n));
+    // Few distinct start times, so timestamp ties (first member wins) occur.
+    std::vector<Timestamp> ts(static_cast<std::size_t>(n) + 1);
+    for (auto& t : ts) {
+      t = Timestamp{static_cast<double>(rng.UniformInt(0, 3)), 0};
+    }
+    std::vector<WaitEdge> edges;
+    for (int e = 0; e < num_edges; ++e) {
+      auto a = static_cast<TxnId>(rng.UniformInt(1, n));
+      auto b = static_cast<TxnId>(rng.UniformInt(1, n));
+      edges.push_back(WaitEdge{a, ts[a], b, ts[b]});  // self-edges included
+    }
+    WaitsForGraph g;
+    g.AddEdges(edges);
+    EXPECT_EQ(g.ResolveAllDeadlocks(), FreshSearchPerStartVictims(edges))
+        << "seed " << GetParam() << " round " << round;
+  }
+}
 
 // --- Processor-sharing CPU conservation --------------------------------------
 

@@ -75,6 +75,7 @@ TEST(TxnFault, LostVoteTimesOutIntoPresumedAbortThenCommits) {
             }
             return false;
           },
+      .node_up = nullptr,  // always up
   });
   auto done = sys.coordinator().Submit(MakeSpec({{1, 2}, {2, 2}}));
   sys.sim().RunUntil(30.0);
@@ -128,6 +129,7 @@ TEST(TxnFault, DroppedCommitExhaustsResendsAndForcesTermination) {
           [](NodeId, NodeId to, net::MsgTag tag) {
             return tag == net::MsgTag::kCommit && to == 1;
           },
+      .node_up = nullptr,  // always up
   });
   auto done = sys.coordinator().Submit(MakeSpec({{1, 2}, {2, 2}}, 0b11));
   sys.sim().RunUntil(30.0);
@@ -199,6 +201,7 @@ TEST(TxnFaultDeathTest, WedgedRunTripsStallWatchdogWithDiagnosticDump) {
         System sys(cfg);
         sys.network().SetFaultPolicy(net::Network::FaultPolicy{
             .should_drop = [](NodeId, NodeId, net::MsgTag) { return true; },
+            .node_up = nullptr,  // always up
         });
         sys.Run();
       },

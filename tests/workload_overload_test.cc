@@ -358,6 +358,7 @@ TEST(OverloadWatchdogDeathTest, WedgedOpenSystemStillDies) {
         engine::System sys(cfg);
         sys.network().SetFaultPolicy(net::Network::FaultPolicy{
             .should_drop = [](NodeId, NodeId, net::MsgTag) { return true; },
+            .node_up = nullptr,  // always up
         });
         sys.Run();
       },

@@ -11,7 +11,9 @@ Two subcommands:
             footprint, a past-knee overload smoke, and a one-point-per-model
             network smoke, and write the combined items/sec snapshot. The
             delivery fast path's speedup (BM_MessageHeavyExp2FastPath over
-            ...Plain) is gated >= 1.2x at collect time.
+            ...Plain) is gated >= 1.2x at collect time, and local deadlock
+            detection's time ratio between a 25600- and a 1024-page lock
+            table (BM_LocalDeadlockDetect) is gated <= 2x.
 
   compare   Compare a fresh snapshot against the committed baseline and fail
             (exit 1) if any benchmark's items/sec dropped by more than
@@ -63,6 +65,14 @@ NETMODEL_SMOKE_MODELS = ("switch", "bandwidth", "rdma")
 FASTPATH_PLAIN_BENCH = "BM_MessageHeavyExp2Plain"
 FASTPATH_FAST_BENCH = "BM_MessageHeavyExp2FastPath"
 FASTPATH_MIN_SPEEDUP = 1.2
+# Local deadlock detection must cost what the waiters cost, not what the
+# locked pages cost: with the same waiter chain, a 25x larger lock table may
+# make one block-and-detect at most this much slower. Checked at collect
+# time; the snapshot stores the reciprocal, so compare's drops-are-bad
+# logic fires when the ratio grows.
+DEADLOCK_BENCH = "BM_LocalDeadlockDetect"
+DEADLOCK_SMALL, DEADLOCK_LARGE = 1024, 25600
+DEADLOCK_MAX_SCALE_RATIO = 2.0
 
 _TIME_UNIT_SECONDS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
@@ -309,16 +319,12 @@ def run_netmodel_smoke(build_dir):
     return rates
 
 
-def run_fastpath_gate(build_dir):
-    """The batching fast path's whole-machine speedup, gated at collect time.
+def median_rates(build_dir, bench_filter):
+    """Median-of-3 items/sec of the micro benchmarks matching the filter.
 
-    Both message-heavy benchmarks report committed transactions per wall
-    second over the same simulated window, so their ratio is the fast path's
-    end-to-end win. A single timing sample of either side occasionally dips
-    ~10% (first-iteration cache effects), so the gate gets its own
-    median-of-3 measurement rather than reusing the one-shot collect rates.
-    Collect fails hard below FASTPATH_MIN_SPEEDUP - the committed baseline
-    can never record a fast path that stopped being one.
+    A single timing sample occasionally dips ~10% (first-iteration cache
+    effects), so the ratio gates get their own median-of-3 measurement
+    rather than reusing the one-shot collect rates.
     """
     binary = os.path.join(build_dir, "bench", "micro_simulator")
     if not os.path.exists(binary):
@@ -329,7 +335,7 @@ def run_fastpath_gate(build_dir):
         "--benchmark_min_time=1",
         "--benchmark_repetitions=3",
         "--benchmark_report_aggregates_only=true",
-        "--benchmark_filter=BM_MessageHeavyExp2",
+        f"--benchmark_filter={bench_filter}",
     ]
     print(f"[collect] {' '.join(cmd)}", file=sys.stderr)
     out = subprocess.run(cmd, check=True, capture_output=True, text=True)
@@ -337,6 +343,18 @@ def run_fastpath_gate(build_dir):
     for bench in json.loads(out.stdout).get("benchmarks", []):
         if bench.get("aggregate_name") == "median":
             medians[bench["run_name"]] = rate_of(bench)
+    return medians
+
+
+def run_fastpath_gate(build_dir):
+    """The batching fast path's whole-machine speedup, gated at collect time.
+
+    Both message-heavy benchmarks report committed transactions per wall
+    second over the same simulated window, so their ratio is the fast path's
+    end-to-end win. Collect fails hard below FASTPATH_MIN_SPEEDUP - the
+    committed baseline can never record a fast path that stopped being one.
+    """
+    medians = median_rates(build_dir, "BM_MessageHeavyExp2")
     if FASTPATH_PLAIN_BENCH not in medians or FASTPATH_FAST_BENCH not in medians:
         sys.exit("error: fast-path gate run produced no median aggregates")
     plain = medians[FASTPATH_PLAIN_BENCH]
@@ -353,9 +371,38 @@ def run_fastpath_gate(build_dir):
     return {"NetFastPath/speedup_ratio": speedup}
 
 
+def run_deadlock_scale_gate(build_dir):
+    """Local deadlock detection's lock-table-size scaling, gated at collect
+    time.
+
+    BM_LocalDeadlockDetect blocks one transaction behind a fixed waiter
+    chain and searches for a cycle, with Arg() single-holder locked pages
+    around it. scale_ratio = time per iteration at DEADLOCK_LARGE pages over
+    time at DEADLOCK_SMALL; a search that scanned the whole table would make
+    it about DEADLOCK_LARGE / DEADLOCK_SMALL. Collect fails hard above
+    DEADLOCK_MAX_SCALE_RATIO.
+    """
+    medians = median_rates(build_dir, DEADLOCK_BENCH)
+    small = medians.get(f"{DEADLOCK_BENCH}/{DEADLOCK_SMALL}")
+    large = medians.get(f"{DEADLOCK_BENCH}/{DEADLOCK_LARGE}")
+    if not small or not large:
+        sys.exit("error: deadlock scale gate run produced no median rates")
+    scale_ratio = small / large  # rates are 1/time
+    print(f"[collect] local deadlock detection scale ratio: "
+          f"{scale_ratio:.3f}x (maximum {DEADLOCK_MAX_SCALE_RATIO}x)",
+          file=sys.stderr)
+    if scale_ratio > DEADLOCK_MAX_SCALE_RATIO:
+        sys.exit(f"error: local deadlock detection is {scale_ratio:.3f}x "
+                 f"slower at {DEADLOCK_LARGE} locked pages than at "
+                 f"{DEADLOCK_SMALL}, above the allowed "
+                 f"{DEADLOCK_MAX_SCALE_RATIO}x")
+    return {"DeadlockDetect/scale_ratio_inverse": 1.0 / scale_ratio}
+
+
 def cmd_collect(args):
     rates = run_micro_benchmarks(args.build_dir, args.min_time, args.filter)
     rates.update(run_fastpath_gate(args.build_dir))
+    rates.update(run_deadlock_scale_gate(args.build_dir))
     if not args.skip_smoke:
         rates.update(run_cold_smoke_sweep(args.build_dir))
         rates.update(run_megascale_smoke(args.build_dir))

@@ -5,14 +5,13 @@
 
 #include "ccsim/cc/cc_manager.h"
 #include "ccsim/common/types.h"
-#include "ccsim/config/params.h"
 
 namespace ccsim::cc {
 
-/// Creates the concurrency control manager for one node. The CC manager is
-/// the only module that changes between algorithms (Sec 3.6).
-std::unique_ptr<CcManager> CreateCcManager(config::CcAlgorithm algorithm,
-                                           CcContext* ctx, NodeId node);
+/// Creates the concurrency control manager for one node, for the algorithm
+/// `ctx->config()` names. The CC manager is the only module that changes
+/// between algorithms (Sec 3.6).
+std::unique_ptr<CcManager> CreateCcManager(CcContext* ctx, NodeId node);
 
 }  // namespace ccsim::cc
 

@@ -114,8 +114,18 @@ class CcManager {
   /// this cohort still blocked here (with kAborted).
   virtual void AbortCohort(const txn::TxnPtr& txn, int cohort_index) = 0;
 
-  /// Local waits-for edges (lock-based algorithms; empty otherwise).
+  /// Local waits-for edges (detection-based locking; empty otherwise).
   virtual std::vector<WaitEdge> LocalWaitsForEdges() const { return {}; }
+
+  /// Whether the engine runs the global Snoop over LocalWaitsForEdges().
+  virtual bool UsesGlobalDeadlockDetection() const { return false; }
+
+  /// Abort reason a cohort reports when one of its own access requests
+  /// completes kAborted without an abort from the coordinator: a BTO
+  /// out-of-order access, a wait-die death or a lock-wait timeout.
+  virtual txn::AbortReason SelfAbortReason() const {
+    return txn::AbortReason::kTimestampOrder;
+  }
 
   /// Time cohorts spent blocked in this manager (lock-based algorithms).
   virtual const stats::Tally* blocking_times() const { return nullptr; }

@@ -229,6 +229,14 @@ bool LockTable::CancelRequest(TxnId txn, const PageRef& page) {
     entry->queue->erase(i);
     PruneQueue(*entry);
     --waiting_count_;
+    // Drop the wait's registration: the key's last occurrence, since a
+    // queued upgrade lists it for the shared hold first. Erasing in place
+    // keeps the rest of the list in request order.
+    KeyList& keys = *txn_keys_.Find(txn);
+    std::size_t last = keys.size() - 1;
+    while (keys[last] != page.Key()) --last;
+    keys.erase(last);
+    if (keys.empty()) txn_keys_.Erase(txn);
     completion->Complete(AccessOutcome::kAborted);
     PumpQueue(page.Key());
     entry = entries_.Find(page.Key());
@@ -463,6 +471,25 @@ void LockTable::AuditInvariants() const {
   });
   CCSIM_DCHECK_MSG(queued == waiting_count_,
                    "waiting_count_ out of sync with lock queues");
+
+  // The forward direction: every page a transaction's list names is held or
+  // waited on by it, and listed at most twice (held, plus a queued or
+  // granted upgrade).
+  // ccsim-lint: unordered-iter-ok(pass/fail audit; order-independent checks)
+  txn_keys_.ForEach([&](TxnId id, const KeyList& keys) {
+    for (std::uint64_t key : keys) {
+      CCSIM_DCHECK_MSG(std::count(keys.begin(), keys.end(), key) <= 2,
+                       "page listed more than twice in txn_keys_");
+      const Entry* entry = entries_.Find(key);
+      bool waits = false;
+      for (std::size_t i = 0; entry != nullptr && i < QueueSize(*entry); ++i) {
+        if ((*entry->queue)[i].txn->id() == id) waits = true;
+      }
+      CCSIM_DCHECK_MSG(
+          entry != nullptr && (waits || FindHolder(*entry, id) != nullptr),
+          "txn_keys_ lists a page its transaction neither holds nor waits on");
+    }
+  });
 }
 
 }  // namespace ccsim::cc

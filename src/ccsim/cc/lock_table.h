@@ -26,10 +26,10 @@ constexpr bool Compatible(LockMode held, LockMode requested) {
   return held == LockMode::kShared && requested == LockMode::kShared;
 }
 
-/// Page-level lock table: the mechanism shared by 2PL and WW. Pure
-/// mechanism - conflict *policy* (wait quietly, detect deadlocks, or wound)
-/// lives in the owning CC manager, which inspects the conflicting
-/// transactions returned by Request().
+/// Page-level lock table: the mechanism every lock-based algorithm shares.
+/// Pure mechanism - conflict *policy* (detect deadlocks, wound, die or time
+/// out) lives in the owning TwoPhaseLockingManager, which inspects the
+/// conflicting transactions returned by Request().
 ///
 /// Queue discipline: FIFO, except that upgrade requests (shared -> exclusive
 /// by a current holder) wait at the front, ahead of ordinary waiters.
@@ -135,8 +135,8 @@ class LockTable {
   /// mutually compatible, no transaction is both granted and waiting on one
   /// page (except a queued upgrade), upgrades form a prefix of the queue, no
   /// transaction is queued twice, waiting_count_ matches the queues, and
-  /// txn_keys_ covers every holder and waiter. No-op unless built with
-  /// CCSIM_AUDIT.
+  /// txn_keys_ covers every holder and waiter and nothing else. No-op unless
+  /// built with CCSIM_AUDIT.
   void AuditInvariants() const;
 
  private:

@@ -33,7 +33,7 @@ System::System(const config::SystemConfig& config)
   std::vector<resource::Cpu*> cpus;
   for (NodeId id = 0; id < total_nodes; ++id) {
     nodes_.push_back(MakeNode(&sim_, config_, id));
-    nodes_.back().cc = cc::CreateCcManager(config_.algorithm, this, id);
+    nodes_.back().cc = cc::CreateCcManager(this, id);
     cpus.push_back(&nodes_.back().resources->cpu());
     node_rngs_.push_back(std::make_unique<sim::RandomStream>(
         config_.run.seed,
@@ -207,8 +207,7 @@ System::System(const config::SystemConfig& config)
     if (fault_injector_) fault_injector_->DumpState(out);
   });
 
-  if (config_.algorithm == config::CcAlgorithm::kTwoPhaseLocking ||
-      config_.algorithm == config::CcAlgorithm::kTwoPhaseLockingDeferred) {
+  if (cc_at(1)->UsesGlobalDeadlockDetection()) {
     std::vector<cc::TwoPhaseLockingManager*> managers;
     for (NodeId id = 1; id < total_nodes; ++id) {
       managers.push_back(

@@ -12,17 +12,6 @@ using resource::DiskOp;
 
 CohortService::CohortService(Services services) : s_(std::move(services)) {}
 
-AbortReason CohortService::SelfAbortReason() const {
-  switch (s_.config->algorithm) {
-    case config::CcAlgorithm::kWaitDie:
-      return AbortReason::kDie;
-    case config::CcAlgorithm::kTwoPhaseLockingTimeout:
-      return AbortReason::kTimeout;
-    default:
-      return AbortReason::kTimestampOrder;  // BTO rejection
-  }
-}
-
 void CohortService::HandleLoad(const TxnPtr& txn, int attempt,
                                int cohort_index) {
   if (txn->IsStaleAttempt(attempt)) return;
@@ -65,7 +54,7 @@ sim::Process CohortService::RunCohort(TxnPtr txn, int attempt,
         // Self-detected rejection (BTO out-of-order access, wait-die death,
         // or lock-wait timeout): inform the coordinator; cleanup happens
         // when its ABORT message returns.
-        AbortReason reason = SelfAbortReason();
+        AbortReason reason = cc->SelfAbortReason();
         s_.network->Send(node, kHostNode, net::MsgTag::kCohortAborted,
                          [this, txn, attempt, reason] {
                            coord_->OnCohortAborted(txn, attempt, reason);

@@ -49,9 +49,6 @@ class CohortService {
   sim::Process RunCohort(TxnPtr txn, int attempt, int cohort_index);
   sim::Process PrepareProcess(TxnPtr txn, int attempt, int cohort_index);
   sim::Process AsyncPageWrite(NodeId node);
-  /// Abort reason reported when a cohort's own access is rejected by the CC
-  /// manager (depends on the algorithm in use).
-  AbortReason SelfAbortReason() const;
 
   Services s_;
   CoordinatorService* coord_ = nullptr;

@@ -282,6 +282,36 @@ TEST_F(LockTableTest, QueueJumpReleaseSkipsBlockedFrontWaiter) {
   EXPECT_TRUE(up.completion->done());
 }
 
+TEST_F(LockTableTest, CancelRequestDropsTheWaitsRegistration) {
+  auto t1 = MakeTxn(1, 1, {page_});
+  auto t2 = MakeTxn(2, 1, {page_, page2_});
+  auto t3 = MakeTxn(3, 1, {page2_});
+  table_.Request(t1, page_, LockMode::kExclusive);
+  table_.Request(t2, page2_, LockMode::kShared);
+  table_.Request(t3, page2_, LockMode::kShared);
+  // A plain wait: t2 no longer waits on page_, and its registration for it
+  // goes too (the audit's forward check: listed pages are held or waited).
+  auto wait = table_.Request(t2, page_, LockMode::kShared);
+  ASSERT_FALSE(wait.granted_immediately);
+  EXPECT_TRUE(table_.CancelRequest(2, page_));
+  EXPECT_EQ(Value(wait.completion), AccessOutcome::kAborted);
+  table_.AuditInvariants();
+  // A queued upgrade lists page2_ twice; cancelling it keeps the shared
+  // hold's registration.
+  auto upgrade = table_.Request(t2, page2_, LockMode::kExclusive);
+  ASSERT_FALSE(upgrade.granted_immediately);
+  EXPECT_TRUE(table_.CancelRequest(2, page2_));
+  EXPECT_EQ(Value(upgrade.completion), AccessOutcome::kAborted);
+  table_.AuditInvariants();
+  EXPECT_FALSE(table_.IsWaiting(2));
+  EXPECT_TRUE(table_.HoldsLock(2, page2_));
+  table_.ReleaseAll(2, true);
+  EXPECT_FALSE(table_.HoldsLock(2, page2_));
+  EXPECT_TRUE(table_.HoldsLock(3, page2_));
+  EXPECT_EQ(table_.num_waiting_requests(), 0u);
+  table_.AuditInvariants();
+}
+
 TEST_F(LockTableTest, StrictFifoIsTheDefault) {
   EXPECT_FALSE(table_.allow_queue_jump());
 }

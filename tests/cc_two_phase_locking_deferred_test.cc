@@ -1,4 +1,4 @@
-#include "ccsim/cc/two_phase_locking_deferred.h"
+#include "ccsim/cc/two_phase_locking.h"
 
 #include <gtest/gtest.h>
 
@@ -15,8 +15,8 @@ class DeferredTest : public ::testing::Test {
  protected:
   DeferredTest() : mgr_(&ctx_, /*node=*/1) {}
 
-  FakeCcContext ctx_;
-  TwoPhaseLockingDeferredManager mgr_;
+  FakeCcContext ctx_{config::CcAlgorithm::kTwoPhaseLockingDeferred};
+  TwoPhaseLockingManager mgr_;
   PageRef p1_{0, 1};
   PageRef p2_{0, 2};
 };
@@ -61,7 +61,7 @@ TEST_F(DeferredTest, PrepareBlocksBehindConcurrentReader) {
   mgr_.RequestAccess(reader, 0, p1_, AccessMode::kRead);
   auto vote = mgr_.Prepare(writer, 0);
   EXPECT_FALSE(vote->done());  // upgrade waits for the reader
-  EXPECT_EQ(mgr_.upgrade_waits(), 1u);
+  EXPECT_EQ(mgr_.lock_table().num_waiting_requests(), 1u);
   mgr_.CommitCohort(reader, 0);  // reader releases
   ctx_.Pump();                   // the prepare process resumes
   ASSERT_TRUE(vote->done());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ccsim/cc/cc_factory.h"
 #include "test_util.h"
 
 namespace ccsim::cc {
@@ -166,6 +167,75 @@ TEST_F(TwoPhaseLockingTest, UpgradeDeadlockDetected) {
   mgr_.RequestAccess(t2, 0, p1_, AccessMode::kWrite);  // upgrade, deadlock
   ASSERT_EQ(ctx_.abort_requests.size(), 1u);
   EXPECT_EQ(ctx_.abort_requests[0].txn, 2u);
+}
+
+// CreateCcManager is where an algorithm becomes a conflict policy: built
+// through it, each lock algorithm gets the one lock engine and resolves one
+// old/young write conflict on one page its own way.
+TEST(LockEngineFactory, EachLockAlgorithmResolvesConflictsByItsPolicy) {
+  struct Conflict {
+    explicit Conflict(config::CcAlgorithm algorithm) : ctx(algorithm) {
+      ctx.mutable_config().locking.timeout_sec = 2.0;
+      mgr = CreateCcManager(&ctx, /*node=*/1);
+      EXPECT_NE(dynamic_cast<TwoPhaseLockingManager*>(mgr.get()), nullptr);
+      mgr->BeginCohort(old_txn, 0);
+      mgr->BeginCohort(young_txn, 0);
+    }
+    // `holder` writes the page, then `requester` writes it.
+    std::shared_ptr<sim::Completion<AccessOutcome>> Run(
+        const txn::TxnPtr& holder, const txn::TxnPtr& requester) {
+      EXPECT_TRUE(mgr->RequestAccess(holder, 0, page, AccessMode::kWrite)
+                      ->done());
+      return mgr->RequestAccess(requester, 0, page, AccessMode::kWrite);
+    }
+    FakeCcContext ctx;
+    std::unique_ptr<CcManager> mgr;
+    PageRef page{0, 1};
+    txn::TxnPtr old_txn = MakeTxn(1, 1, {page}, 0b1, 1.0);
+    txn::TxnPtr young_txn = MakeTxn(2, 1, {page}, 0b1, 5.0);
+  };
+
+  {  // 2PL: the young requester waits; detection finds no cycle.
+    Conflict c(config::CcAlgorithm::kTwoPhaseLocking);
+    EXPECT_FALSE(c.Run(c.old_txn, c.young_txn)->done());
+    EXPECT_TRUE(c.ctx.abort_requests.empty());
+    EXPECT_TRUE(c.mgr->UsesGlobalDeadlockDetection());
+  }
+  {  // WW: the old requester waits and wounds the young holder.
+    Conflict c(config::CcAlgorithm::kWoundWait);
+    EXPECT_FALSE(c.Run(c.young_txn, c.old_txn)->done());
+    ASSERT_EQ(c.ctx.abort_requests.size(), 1u);
+    EXPECT_EQ(c.ctx.abort_requests[0].txn, 2u);
+    EXPECT_EQ(c.ctx.abort_requests[0].reason, txn::AbortReason::kWound);
+    EXPECT_FALSE(c.mgr->UsesGlobalDeadlockDetection());
+  }
+  {  // WD: the young requester dies at once.
+    Conflict c(config::CcAlgorithm::kWaitDie);
+    auto request = c.Run(c.old_txn, c.young_txn);
+    ASSERT_TRUE(request->done());
+    EXPECT_EQ(request->TakeValue(), AccessOutcome::kAborted);
+    EXPECT_TRUE(c.ctx.abort_requests.empty());
+    EXPECT_EQ(c.mgr->SelfAbortReason(), txn::AbortReason::kDie);
+  }
+  {  // 2PL-TO: the young requester waits, then aborts after timeout_sec.
+    Conflict c(config::CcAlgorithm::kTwoPhaseLockingTimeout);
+    auto request = c.Run(c.old_txn, c.young_txn);
+    EXPECT_FALSE(request->done());
+    c.ctx.Pump();
+    ASSERT_TRUE(request->done());
+    EXPECT_EQ(request->TakeValue(), AccessOutcome::kAborted);
+    EXPECT_DOUBLE_EQ(c.ctx.simulation().Now(), 2.0);
+    EXPECT_EQ(c.mgr->SelfAbortReason(), txn::AbortReason::kTimeout);
+    EXPECT_FALSE(c.mgr->UsesGlobalDeadlockDetection());
+  }
+  {  // 2PL-DW: both writes lock shared; the old one's upgrade waits.
+    Conflict c(config::CcAlgorithm::kTwoPhaseLockingDeferred);
+    EXPECT_TRUE(c.Run(c.old_txn, c.young_txn)->done());
+    auto vote = c.mgr->Prepare(c.old_txn, 0);
+    EXPECT_FALSE(vote->done());
+    EXPECT_TRUE(c.ctx.abort_requests.empty());
+    EXPECT_TRUE(c.mgr->UsesGlobalDeadlockDetection());
+  }
 }
 
 }  // namespace

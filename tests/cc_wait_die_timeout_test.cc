@@ -3,8 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ccsim/cc/two_phase_locking_timeout.h"
-#include "ccsim/cc/wait_die.h"
+#include "ccsim/cc/two_phase_locking.h"
 #include "ccsim/engine/run.h"
 #include "test_util.h"
 
@@ -20,8 +19,8 @@ class WaitDieTest : public ::testing::Test {
  protected:
   WaitDieTest() : mgr_(&ctx_, /*node=*/1) {}
 
-  FakeCcContext ctx_;
-  WaitDieManager mgr_;
+  FakeCcContext ctx_{config::CcAlgorithm::kWaitDie};
+  TwoPhaseLockingManager mgr_;
   PageRef p1_{0, 1};
 };
 
@@ -33,7 +32,7 @@ TEST_F(WaitDieTest, OlderRequesterWaits) {
   mgr_.RequestAccess(young, 0, p1_, AccessMode::kWrite);
   auto c = mgr_.RequestAccess(old_txn, 0, p1_, AccessMode::kWrite);
   EXPECT_FALSE(c->done());  // old waits for young
-  EXPECT_EQ(mgr_.deaths(), 0u);
+  EXPECT_EQ(mgr_.lock_table().num_waiting_requests(), 1u);
   // When the young holder commits, the old requester is granted.
   mgr_.CommitCohort(young, 0);
   ASSERT_TRUE(c->done());
@@ -49,7 +48,9 @@ TEST_F(WaitDieTest, YoungerRequesterDies) {
   auto c = mgr_.RequestAccess(young, 0, p1_, AccessMode::kWrite);
   ASSERT_TRUE(c->done());
   EXPECT_EQ(c->TakeValue(), AccessOutcome::kAborted);
-  EXPECT_EQ(mgr_.deaths(), 1u);
+  // The death is self-reported by the cohort, not an abort request.
+  EXPECT_TRUE(ctx_.abort_requests.empty());
+  EXPECT_EQ(mgr_.SelfAbortReason(), txn::AbortReason::kDie);
   // The lock table is clean: the old holder still holds, no waiter remains.
   EXPECT_EQ(mgr_.lock_table().num_waiting_requests(), 0u);
 }
@@ -59,9 +60,12 @@ TEST_F(WaitDieTest, ReadersShareRegardlessOfAge) {
   auto t2 = MakeTxn(2, 1, {p1_}, 0, 5.0);
   mgr_.BeginCohort(t1, 0);
   mgr_.BeginCohort(t2, 0);
-  EXPECT_TRUE(mgr_.RequestAccess(t1, 0, p1_, AccessMode::kRead)->done());
-  EXPECT_TRUE(mgr_.RequestAccess(t2, 0, p1_, AccessMode::kRead)->done());
-  EXPECT_EQ(mgr_.deaths(), 0u);
+  auto c1 = mgr_.RequestAccess(t1, 0, p1_, AccessMode::kRead);
+  auto c2 = mgr_.RequestAccess(t2, 0, p1_, AccessMode::kRead);
+  ASSERT_TRUE(c1->done());
+  ASSERT_TRUE(c2->done());
+  EXPECT_EQ(c1->TakeValue(), AccessOutcome::kGranted);
+  EXPECT_EQ(c2->TakeValue(), AccessOutcome::kGranted);
 }
 
 TEST_F(WaitDieTest, DeathAgainstAnyOlderBlocker) {
@@ -91,12 +95,14 @@ TEST_F(WaitDieTest, EndToEndSerializableUnderContention) {
 class TimeoutTest : public ::testing::Test {
  protected:
   TimeoutTest() {
+    ctx_.mutable_config().algorithm =
+        config::CcAlgorithm::kTwoPhaseLockingTimeout;
     ctx_.mutable_config().locking.timeout_sec = 2.0;
-    mgr_ = std::make_unique<TwoPhaseLockingTimeoutManager>(&ctx_, 1);
+    mgr_ = std::make_unique<TwoPhaseLockingManager>(&ctx_, 1);
   }
 
   FakeCcContext ctx_;
-  std::unique_ptr<TwoPhaseLockingTimeoutManager> mgr_;
+  std::unique_ptr<TwoPhaseLockingManager> mgr_;
   PageRef p1_{0, 1};
 };
 
@@ -111,7 +117,7 @@ TEST_F(TimeoutTest, WaitShorterThanTimeoutSurvives) {
   ctx_.Pump();
   ASSERT_TRUE(c->done());
   EXPECT_EQ(c->TakeValue(), AccessOutcome::kGranted);
-  EXPECT_EQ(mgr_->timeouts_fired(), 0u);
+  EXPECT_TRUE(mgr_->lock_table().HoldsLock(2, p1_));
 }
 
 TEST_F(TimeoutTest, WaitLongerThanTimeoutAborts) {
@@ -124,8 +130,10 @@ TEST_F(TimeoutTest, WaitLongerThanTimeoutAborts) {
   ctx_.Pump();  // nothing releases; the timeout fires at t=2
   ASSERT_TRUE(c->done());
   EXPECT_EQ(c->TakeValue(), AccessOutcome::kAborted);
-  EXPECT_EQ(mgr_->timeouts_fired(), 1u);
   EXPECT_DOUBLE_EQ(ctx_.simulation().Now(), 2.0);
+  EXPECT_EQ(mgr_->lock_table().num_waiting_requests(), 0u);
+  EXPECT_TRUE(mgr_->lock_table().HoldsLock(1, p1_));
+  EXPECT_EQ(mgr_->SelfAbortReason(), txn::AbortReason::kTimeout);
 }
 
 TEST_F(TimeoutTest, NoWaitsForEdgesReported) {
@@ -149,7 +157,12 @@ TEST_F(TimeoutTest, StaleTimerAfterExternalAbortIsHarmless) {
   ctx_.simulation().At(0.5, [&] { mgr_->AbortCohort(waiter, 0); });
   ctx_.Pump();
   ASSERT_TRUE(c->done());
-  EXPECT_EQ(mgr_->timeouts_fired(), 0u);  // timer found the request done
+  EXPECT_EQ(c->TakeValue(), AccessOutcome::kAborted);  // by the abort
+  // The timer still fired at t=2 and found the request done: the holder
+  // keeps its lock and nothing is left queued.
+  EXPECT_DOUBLE_EQ(ctx_.simulation().Now(), 2.0);
+  EXPECT_TRUE(mgr_->lock_table().HoldsLock(1, p1_));
+  EXPECT_EQ(mgr_->lock_table().num_waiting_requests(), 0u);
 }
 
 TEST_F(TimeoutTest, EndToEndResolvesDeadlocksViaTimeouts) {

@@ -1,4 +1,4 @@
-#include "ccsim/cc/wound_wait.h"
+#include "ccsim/cc/two_phase_locking.h"
 
 #include <gtest/gtest.h>
 
@@ -14,8 +14,8 @@ class WoundWaitTest : public ::testing::Test {
  protected:
   WoundWaitTest() : mgr_(&ctx_, /*node=*/2) {}
 
-  FakeCcContext ctx_;
-  WoundWaitManager mgr_;
+  FakeCcContext ctx_{config::CcAlgorithm::kWoundWait};
+  TwoPhaseLockingManager mgr_;
   PageRef p1_{0, 1};
   PageRef p2_{0, 2};
 };
@@ -32,7 +32,6 @@ TEST_F(WoundWaitTest, OlderRequesterWoundsYoungerHolder) {
   EXPECT_EQ(ctx_.abort_requests[0].txn, 2u);
   EXPECT_EQ(ctx_.abort_requests[0].reason, txn::AbortReason::kWound);
   EXPECT_EQ(ctx_.abort_requests[0].from_node, 2);
-  EXPECT_EQ(mgr_.wounds_issued(), 1u);
 }
 
 TEST_F(WoundWaitTest, YoungerRequesterJustWaits) {
@@ -44,7 +43,6 @@ TEST_F(WoundWaitTest, YoungerRequesterJustWaits) {
   auto c = mgr_.RequestAccess(young_txn, 0, p1_, AccessMode::kWrite);
   EXPECT_FALSE(c->done());
   EXPECT_TRUE(ctx_.abort_requests.empty());
-  EXPECT_EQ(mgr_.wounds_issued(), 0u);
 }
 
 TEST_F(WoundWaitTest, WoundIgnoredWhenVictimIsCommitting) {
@@ -83,8 +81,12 @@ TEST_F(WoundWaitTest, WoundsEveryYoungerBlocker) {
   mgr_.RequestAccess(s1, 0, p1_, AccessMode::kRead);
   mgr_.RequestAccess(s2, 0, p1_, AccessMode::kRead);
   mgr_.RequestAccess(old_txn, 0, p1_, AccessMode::kWrite);
-  EXPECT_EQ(ctx_.abort_requests.size(), 2u);
-  EXPECT_EQ(mgr_.wounds_issued(), 2u);
+  ASSERT_EQ(ctx_.abort_requests.size(), 2u);
+  EXPECT_EQ(ctx_.abort_requests[0].txn, 2u);  // in blocker (TxnId) order
+  EXPECT_EQ(ctx_.abort_requests[1].txn, 3u);
+  for (const auto& wound : ctx_.abort_requests) {
+    EXPECT_EQ(wound.reason, txn::AbortReason::kWound);
+  }
 }
 
 TEST_F(WoundWaitTest, MixedAgesWoundOnlyYounger) {
@@ -110,7 +112,7 @@ TEST_F(WoundWaitTest, ReadersStillShare) {
   auto c2 = mgr_.RequestAccess(t2, 0, p1_, AccessMode::kRead);
   EXPECT_TRUE(c1->done());
   EXPECT_TRUE(c2->done());
-  EXPECT_EQ(mgr_.wounds_issued(), 0u);
+  EXPECT_TRUE(ctx_.abort_requests.empty());
 }
 
 TEST_F(WoundWaitTest, InitialTimestampRetainedAcrossRestart) {

@@ -29,6 +29,13 @@ class FakeCcContext : public cc::CcContext {
     enum Kind { kRead, kInstall, kSkip } kind;
   };
 
+  FakeCcContext() = default;
+  /// A context whose configuration names `algorithm`: lock managers derive
+  /// their conflict policy from it at construction.
+  explicit FakeCcContext(config::CcAlgorithm algorithm) {
+    config_.algorithm = algorithm;
+  }
+
   sim::Simulation& simulation() override { return sim_; }
   const config::SystemConfig& config() const override { return config_; }
   /// Mutable for tests that exercise non-default options.

@@ -1,7 +1,9 @@
 #ifndef CCSIM_BENCH_BENCH_COMMON_H_
 #define CCSIM_BENCH_BENCH_COMMON_H_
 
+#include <cstdlib>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "ccsim/config/params.h"
@@ -17,22 +19,26 @@ using experiments::At;
 using experiments::Point;
 using experiments::ResultCache;
 
-/// Figure registration. Every figure binary defines its body with
-/// CCSIM_BENCH_FIGURE(name) and links the shared bench_main.cc, which
-/// provides main(): flag parsing (--jobs) plus running every registered
-/// figure in name order. Individual binaries register exactly one figure;
-/// the run_all driver links all of them and regenerates every table and
-/// CSV in a single invocation over one shared warm cache.
+/// Figure registration. Every figure defines its body with
+/// CCSIM_BENCH_FIGURE(name); bench_main.cc provides main(), which runs the
+/// figures named on the command line (or `all`, in name order) over one
+/// shared result cache.
 using FigureFn = int (*)();
 bool RegisterFigure(const char* name, FigureFn fn);
 
-/// Parses common bench flags (--jobs N / --jobs=N sets the ParallelRunner
-/// pool size; $CCSIM_JOBS is the env equivalent). Exits on unknown flags.
-void InitBench(int argc, char** argv);
+/// True when environment switch `name` is set to anything but empty or "0"
+/// (CCSIM_QUICK and the per-figure CCSIM_*_SMOKE switches).
+inline bool EnvSet(const char* name) {
+  const char* v = std::getenv(name);
+  return v != nullptr && v[0] != '\0' && v[0] != '0';
+}
 
-/// Runs every registered figure in name order; returns the first non-zero
-/// figure exit code, else 0.
-int RunRegisteredFigures();
+/// Directory the figures write their CSVs to: $CCSIM_CSV_DIR, default
+/// ./bench_results.
+inline std::string CsvDir() {
+  const char* env = std::getenv("CCSIM_CSV_DIR");
+  return env != nullptr && env[0] != '\0' ? env : "bench_results";
+}
 
 inline const std::vector<config::CcAlgorithm>& Algorithms() {
   static const std::vector<config::CcAlgorithm> algs(
@@ -85,7 +91,7 @@ inline void PrintRunScaleNote() {
   std::cout << "Run windows: set CCSIM_QUICK=1 for smoke runs, CCSIM_FULL=1 "
                "for long runs.\nResults are cached in "
             << ResultCache().directory()
-            << " (delete to recompute; shared across figure binaries).\n\n";
+            << " (delete to recompute; shared across figures).\n\n";
 }
 
 /// Prints one series as an ASCII table AND writes it as CSV under
@@ -97,9 +103,7 @@ inline void ReportSeries(const std::string& slug, const std::string& title,
                          const experiments::CellFn& cell, int precision = 3) {
   experiments::PrintTable(std::cout, title, x_label, xs, algorithms, cell,
                           precision);
-  const char* env = std::getenv("CCSIM_CSV_DIR");
-  std::string dir = env != nullptr && env[0] != '\0' ? env : "bench_results";
-  std::string path = dir + "/" + slug + ".csv";
+  std::string path = CsvDir() + "/" + slug + ".csv";
   if (experiments::WriteCsvFile(path, x_label, xs, algorithms, cell)) {
     std::cout << "[csv] " << path << "\n";
   }
@@ -107,8 +111,8 @@ inline void ReportSeries(const std::string& slug, const std::string& title,
 
 }  // namespace ccsim::bench
 
-/// Defines the body of one figure and registers it under `name` (which is
-/// also the binary's CMake target name).
+/// Defines the body of one figure and registers it under `name`, the
+/// argument that runs it: `ccsim_bench name`.
 #define CCSIM_BENCH_FIGURE(name)                                     \
   static int name##_figure_body();                                   \
   [[maybe_unused]] static const bool name##_registered =             \

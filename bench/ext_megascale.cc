@@ -11,8 +11,9 @@
 
 #include <sys/resource.h>
 
-#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "bench_common.h"
 
@@ -24,11 +25,6 @@ double PeakRssMb() {
   struct rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<double>(ru.ru_maxrss) / 1024.0;
-}
-
-bool EnvSet(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
 }  // namespace
@@ -97,9 +93,11 @@ CCSIM_BENCH_FIGURE(ext_megascale) {
 
   // Memory accounting, one row per machine size (cumulative across the
   // ascending sweep; the per-size delta is what each machine costs).
-  const char* env = std::getenv("CCSIM_CSV_DIR");
-  std::string dir = env != nullptr && env[0] != '\0' ? env : "bench_results";
-  std::ofstream csv(dir + "/ext_megascale_memory.csv");
+  const std::string dir = CsvDir();
+  const std::string path = dir + "/ext_megascale_memory.csv";
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  std::ofstream csv(path);
   csv << "nodes,peak_rss_mb,mb_per_node\n";
   std::cout << "Peak RSS after each machine size (ascending, cumulative):\n";
   for (const auto& s : rss) {
@@ -108,6 +106,11 @@ CCSIM_BENCH_FIGURE(ext_megascale) {
                 s.nodes, s.peak_rss_mb, per_node);
     csv << s.nodes << ',' << s.peak_rss_mb << ',' << per_node << '\n';
   }
-  std::cout << "[csv] " << dir << "/ext_megascale_memory.csv\n";
+  csv.flush();
+  if (csv) {
+    std::cout << "[csv] " << path << "\n";
+  } else {
+    std::cerr << "warning: cannot write " << path << "\n";
+  }
   return 0;
 }

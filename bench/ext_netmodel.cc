@@ -33,16 +33,9 @@
 // tools/check_bench_regression.py runs one point per model cold-cache
 // (CCSIM_NETMODEL_SMOKE=1) and gates the per-model throughputs.
 
-#include <cstdlib>
-
 #include "bench_common.h"
 
 namespace {
-
-bool EnvSet(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 const char* Slug(ccsim::config::NetModel model) {
   return ccsim::config::ToString(model);

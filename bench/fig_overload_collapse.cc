@@ -15,18 +15,7 @@
 // tools/check_bench_regression.py gates a single past-knee 2PL point of the
 // admission series (CCSIM_OVERLOAD_SMOKE=1) on its deadline goodput.
 
-#include <cstdlib>
-
 #include "bench_common.h"
-
-namespace {
-
-bool EnvSet(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-}  // namespace
 
 CCSIM_BENCH_FIGURE(fig_overload_collapse) {
   using namespace ccsim;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "ccsim/engine/run.h"
+#include "test_util.h"
+
 namespace ccsim::engine {
 namespace {
 
@@ -116,6 +121,53 @@ TEST(Serializability, UncommittedWritersIgnored) {
 
 TEST(Serializability, DescribeSerializable) {
   EXPECT_EQ(CheckSerializability({}).Describe(), "serializable");
+}
+
+// --- Whole-engine audit on the network-model and overload axes -------------
+
+TEST(SerializabilityAudit, NetModelAndOverloadRunsAreSerializable) {
+  // Every engine the audit covers (it skips NO_DC, the contention-free
+  // ideal) on the axes beyond the paper's machine: a bandwidth link with
+  // batched sends, one-sided RDMA, and an open system with a deadline,
+  // restart backoff and shed-newest admission.
+  using config::CcAlgorithm;
+  const CcAlgorithm engines[] = {
+      CcAlgorithm::kTwoPhaseLocking,        CcAlgorithm::kBasicTimestamp,
+      CcAlgorithm::kWoundWait,              CcAlgorithm::kOptimistic,
+      CcAlgorithm::kTwoPhaseLockingDeferred, CcAlgorithm::kWaitDie,
+      CcAlgorithm::kTwoPhaseLockingTimeout};
+  using Axis = std::pair<const char*, void (*)(config::SystemConfig&)>;
+  const Axis axes[] = {
+      {"bandwidth+batching",
+       [](config::SystemConfig& c) {
+         c.net.model = config::NetModel::kBandwidth;
+         c.net.batching = true;
+       }},
+      {"rdma",
+       [](config::SystemConfig& c) { c.net.model = config::NetModel::kRdma; }},
+      {"open+deadline+backoff+shed",
+       [](config::SystemConfig& c) {
+         c.overload.arrival_rate_per_sec = 12.0;
+         c.overload.txn_deadline_sec = 0.5;
+         c.overload.restart_backoff_base_sec = 0.25;
+         c.overload.restart_backoff_cap_sec = 2.0;
+         c.overload.max_in_flight = 4;
+         c.overload.admission_queue_cap = 2;
+         c.overload.admission_policy = config::AdmissionPolicy::kShedNewest;
+       }},
+  };
+  for (CcAlgorithm alg : engines) {
+    for (const auto& [axis, apply] : axes) {
+      config::SystemConfig cfg = test::SmallConfig(alg, /*think_time=*/1.0);
+      cfg.run.warmup_sec = 5;
+      cfg.run.measure_sec = 30;
+      apply(cfg);
+      RunResult r = RunSimulation(cfg);
+      EXPECT_GT(r.commits, 0u) << config::ToString(alg) << ", " << axis;
+      EXPECT_TRUE(r.audited && r.serializable)
+          << config::ToString(alg) << ", " << axis << ": " << r.audit_note;
+    }
+  }
 }
 
 }  // namespace

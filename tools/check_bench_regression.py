@@ -4,16 +4,17 @@
 Two subcommands:
 
   collect   Run bench/micro_simulator with --benchmark_format=json plus one
-            cold-cache engine smoke sweep (a figure binary under CCSIM_QUICK=1
-            with a throwaway CCSIM_CACHE_DIR, so the result cache cannot hide
-            engine slowdowns), a cold-cache 256-node megascale smoke whose
-            peak RSS (getrusage of the child) gates the kernel's memory
-            footprint, a past-knee overload smoke, and a one-point-per-model
-            network smoke, and write the combined items/sec snapshot. The
-            delivery fast path's speedup (BM_MessageHeavyExp2FastPath over
-            ...Plain) is gated >= 1.2x at collect time, and local deadlock
-            detection's time ratio between a 25600- and a 1024-page lock
-            table (BM_LocalDeadlockDetect) is gated <= 2x.
+            cold-cache engine smoke sweep (`ccsim_bench fig02_throughput`
+            under CCSIM_QUICK=1 with a throwaway CCSIM_CACHE_DIR, so the
+            result cache cannot hide engine slowdowns), a cold-cache
+            256-node megascale smoke whose peak RSS (getrusage of the child)
+            gates the kernel's memory footprint, a past-knee overload smoke,
+            and a one-point-per-model network smoke, and write the combined
+            items/sec snapshot. The delivery fast path's speedup
+            (BM_MessageHeavyExp2FastPath over ...Plain) is gated >= 1.2x at
+            collect time, and local deadlock detection's time ratio between
+            a 25600- and a 1024-page lock table (BM_LocalDeadlockDetect) is
+            gated <= 2x.
 
   compare   Compare a fresh snapshot against the committed baseline and fail
             (exit 1) if any benchmark's items/sec dropped by more than
@@ -38,6 +39,8 @@ import time
 
 SCHEMA_VERSION = 1
 DEFAULT_BASELINE = "bench_results/BENCH_kernel.json"
+# The figure runner; each smoke below runs `ccsim_bench <figure>` cold.
+BENCH_BINARY = "ccsim_bench"
 # One real engine sweep, run cold: fig02 is the paper's headline throughput
 # figure and touches the whole stack (calendar, CPU/disk, locking, network).
 SMOKE_FIGURE = "fig02_throughput"
@@ -112,22 +115,54 @@ def run_micro_benchmarks(build_dir, min_time, bench_filter):
     return rates
 
 
-def max_smoke_p99(cache_dir):
-    """Largest rt_p99 (simulated seconds) across the sweep's cache entries."""
-    worst = 0.0
-    seen = 0
+def cache_field_values(cache_dir, field):
+    """Values of one result field across a cold run's cache entries."""
+    values = []
     for name in sorted(os.listdir(cache_dir)):
         if not name.endswith(".result"):
             continue
         with open(os.path.join(cache_dir, name)) as f:
             for line in f:
-                if line.startswith("rt_p99 "):
-                    worst = max(worst, float(line.split(" ", 1)[1]))
-                    seen += 1
+                if line.startswith(field + " "):
+                    values.append(float(line.split(" ", 1)[1]))
                     break
-    if seen == 0:
-        sys.exit("error: smoke sweep produced no rt_p99 fields")
-    return worst
+    if not values:
+        sys.exit(f"error: smoke run produced no {field} fields")
+    return values
+
+
+def run_figure_cold(build_dir, figure, read, **extra_env):
+    """Runs `ccsim_bench <figure>` once with an empty result cache.
+
+    The run uses smoke-length windows (CCSIM_QUICK=1), a throwaway
+    CCSIM_CACHE_DIR and CCSIM_CSV_DIR, so the result cache cannot hide
+    engine slowdowns, and one simulation thread (CCSIM_JOBS=1): load is
+    deterministic whatever the runner's core count, and the child's rusage
+    covers the whole run. `extra_env` adds the figure's smoke switches.
+    Returns (read(cache_dir, csv_dir), wall seconds, child rusage).
+    """
+    binary = os.path.join(build_dir, "bench", BENCH_BINARY)
+    if not os.path.exists(binary):
+        sys.exit(f"error: {binary} not found (build the Release tree first)")
+    with tempfile.TemporaryDirectory(prefix="ccsim-bench-") as tmp:
+        cache_dir = os.path.join(tmp, "cache")
+        csv_dir = os.path.join(tmp, "csv")
+        os.makedirs(cache_dir)
+        os.makedirs(csv_dir)
+        env = dict(os.environ, CCSIM_QUICK="1", CCSIM_CACHE_DIR=cache_dir,
+                   CCSIM_CSV_DIR=csv_dir, CCSIM_JOBS="1", **extra_env)
+        print(f"[collect] cold-cache smoke: {binary} {figure}",
+              file=sys.stderr)
+        start = time.monotonic()
+        with open(os.devnull, "wb") as devnull:
+            proc = subprocess.Popen([binary, figure], env=env, stdout=devnull)
+            _, status, rusage = os.wait4(proc.pid, 0)
+        elapsed = time.monotonic() - start
+        if os.waitstatus_to_exitcode(status) != 0:
+            sys.exit(f"error: {binary} {figure} exited with status {status}")
+        if elapsed <= 0:
+            sys.exit(f"error: {figure} smoke finished suspiciously fast")
+        return read(cache_dir, csv_dir), elapsed, rusage
 
 
 def run_cold_smoke_sweep(build_dir):
@@ -139,47 +174,13 @@ def run_cold_smoke_sweep(build_dir):
     simulated time - deterministic and machine-independent - so it doubles
     as a behavior pin.
     """
-    binary = os.path.join(build_dir, "bench", SMOKE_FIGURE)
-    if not os.path.exists(binary):
-        sys.exit(f"error: {binary} not found (build the Release tree first)")
-    with tempfile.TemporaryDirectory(prefix="ccsim-bench-") as tmp:
-        env = dict(os.environ)
-        env["CCSIM_QUICK"] = "1"  # smoke-length run windows
-        env["CCSIM_CACHE_DIR"] = os.path.join(tmp, "cache")  # cold cache
-        env["CCSIM_CSV_DIR"] = os.path.join(tmp, "csv")
-        env["CCSIM_JOBS"] = "1"  # deterministic load; CI runners vary in cores
-        os.makedirs(env["CCSIM_CACHE_DIR"])
-        os.makedirs(env["CCSIM_CSV_DIR"])
-        print(f"[collect] cold-cache smoke sweep: {binary}", file=sys.stderr)
-        start = time.monotonic()
-        subprocess.run([binary], check=True, env=env,
-                       stdout=subprocess.DEVNULL)
-        elapsed = time.monotonic() - start
-        worst_p99 = max_smoke_p99(env["CCSIM_CACHE_DIR"])
-    if elapsed <= 0:
-        sys.exit("error: smoke sweep finished suspiciously fast")
+    worst_p99, elapsed, _ = run_figure_cold(
+        build_dir, SMOKE_FIGURE,
+        lambda cache_dir, _: max(cache_field_values(cache_dir, "rt_p99")))
     return {
         f"EngineSmokeSweep/{SMOKE_FIGURE}_cold": 1.0 / elapsed,
         f"EngineSmokeTail/{SMOKE_FIGURE}_rt_p99_inverse": 1.0 / worst_p99,
     }
-
-
-def sum_cache_events(cache_dir):
-    """Total simulation events recorded across the sweep's cache entries."""
-    total = 0
-    seen = 0
-    for name in sorted(os.listdir(cache_dir)):
-        if not name.endswith(".result"):
-            continue
-        with open(os.path.join(cache_dir, name)) as f:
-            for line in f:
-                if line.startswith("events "):
-                    total += int(line.split(" ", 1)[1])
-                    seen += 1
-                    break
-    if seen == 0:
-        sys.exit("error: megascale smoke produced no events fields")
-    return total
 
 
 def run_megascale_smoke(build_dir):
@@ -191,54 +192,19 @@ def run_megascale_smoke(build_dir):
     machine-dependent except that RSS of a deterministic single-threaded run
     is stable to within allocator noise, far inside the 30% gate.
     """
-    binary = os.path.join(build_dir, "bench", MEGASCALE_FIGURE)
-    if not os.path.exists(binary):
-        sys.exit(f"error: {binary} not found (build the Release tree first)")
-    with tempfile.TemporaryDirectory(prefix="ccsim-mega-") as tmp:
-        env = dict(os.environ)
-        env["CCSIM_QUICK"] = "1"
-        env["CCSIM_MEGASCALE_SMOKE"] = "1"
-        env["CCSIM_CACHE_DIR"] = os.path.join(tmp, "cache")  # cold cache
-        env["CCSIM_CSV_DIR"] = os.path.join(tmp, "csv")
-        env["CCSIM_JOBS"] = "1"  # one child: its rusage is the whole run
-        os.makedirs(env["CCSIM_CACHE_DIR"])
-        os.makedirs(env["CCSIM_CSV_DIR"])
-        print(f"[collect] cold-cache megascale smoke: {binary}",
-              file=sys.stderr)
-        start = time.monotonic()
-        with open(os.devnull, "wb") as devnull:
-            proc = subprocess.Popen([binary], env=env, stdout=devnull)
-            _, status, rusage = os.wait4(proc.pid, 0)
-        elapsed = time.monotonic() - start
-        if os.waitstatus_to_exitcode(status) != 0:
-            sys.exit(f"error: {binary} exited with status {status}")
-        events = sum_cache_events(env["CCSIM_CACHE_DIR"])
+    events, elapsed, rusage = run_figure_cold(
+        build_dir, MEGASCALE_FIGURE,
+        lambda cache_dir, _: sum(cache_field_values(cache_dir, "events")),
+        CCSIM_MEGASCALE_SMOKE="1")
     peak_rss_mb = rusage.ru_maxrss / 1024.0  # Linux reports KB
-    if peak_rss_mb <= 0 or elapsed <= 0:
+    if peak_rss_mb <= 0:
         sys.exit("error: megascale smoke produced no usable measurements")
     print(f"[collect] megascale smoke: peak_rss_mb={peak_rss_mb:.1f} "
           f"events/sec={events / elapsed:.0f}", file=sys.stderr)
     return {
-        f"MegascaleSmoke/peak_rss_mb_inverse": 1.0 / peak_rss_mb,
-        f"MegascaleSmoke/events_per_sec": events / elapsed,
+        "MegascaleSmoke/peak_rss_mb_inverse": 1.0 / peak_rss_mb,
+        "MegascaleSmoke/events_per_sec": events / elapsed,
     }
-
-
-def min_cache_goodput(cache_dir):
-    """Smallest goodput_deadline (commits/s) across the smoke's cache entries."""
-    worst = None
-    for name in sorted(os.listdir(cache_dir)):
-        if not name.endswith(".result"):
-            continue
-        with open(os.path.join(cache_dir, name)) as f:
-            for line in f:
-                if line.startswith("goodput_deadline "):
-                    value = float(line.split(" ", 1)[1])
-                    worst = value if worst is None else min(worst, value)
-                    break
-    if worst is None:
-        sys.exit("error: overload smoke produced no goodput_deadline fields")
-    return worst
 
 
 def run_overload_smoke(build_dir):
@@ -250,22 +216,11 @@ def run_overload_smoke(build_dir):
     number is deterministic and machine-independent - it moves only when the
     engine's overload behavior changes.
     """
-    binary = os.path.join(build_dir, "bench", OVERLOAD_FIGURE)
-    if not os.path.exists(binary):
-        sys.exit(f"error: {binary} not found (build the Release tree first)")
-    with tempfile.TemporaryDirectory(prefix="ccsim-overload-") as tmp:
-        env = dict(os.environ)
-        env["CCSIM_QUICK"] = "1"
-        env["CCSIM_OVERLOAD_SMOKE"] = "1"
-        env["CCSIM_CACHE_DIR"] = os.path.join(tmp, "cache")  # cold cache
-        env["CCSIM_CSV_DIR"] = os.path.join(tmp, "csv")
-        env["CCSIM_JOBS"] = "1"
-        os.makedirs(env["CCSIM_CACHE_DIR"])
-        os.makedirs(env["CCSIM_CSV_DIR"])
-        print(f"[collect] cold-cache overload smoke: {binary}", file=sys.stderr)
-        subprocess.run([binary], check=True, env=env,
-                       stdout=subprocess.DEVNULL)
-        goodput = min_cache_goodput(env["CCSIM_CACHE_DIR"])
+    goodput, _, _ = run_figure_cold(
+        build_dir, OVERLOAD_FIGURE,
+        lambda cache_dir, _: min(cache_field_values(cache_dir,
+                                                    "goodput_deadline")),
+        CCSIM_OVERLOAD_SMOKE="1")
     print(f"[collect] overload smoke: goodput_deadline={goodput:.3f}",
           file=sys.stderr)
     return {"OverloadSmoke/goodput": goodput}
@@ -294,26 +249,14 @@ def run_netmodel_smoke(build_dir):
     numbers pin the models' relative cost accounting: switch >= bandwidth
     (wire time is extra cost) and rdma >= switch (receiver CPU is removed).
     """
-    binary = os.path.join(build_dir, "bench", NETMODEL_FIGURE)
-    if not os.path.exists(binary):
-        sys.exit(f"error: {binary} not found (build the Release tree first)")
-    with tempfile.TemporaryDirectory(prefix="ccsim-netmodel-") as tmp:
-        env = dict(os.environ)
-        env["CCSIM_QUICK"] = "1"
-        env["CCSIM_NETMODEL_SMOKE"] = "1"
-        env["CCSIM_CACHE_DIR"] = os.path.join(tmp, "cache")  # cold cache
-        env["CCSIM_CSV_DIR"] = os.path.join(tmp, "csv")
-        env["CCSIM_JOBS"] = "1"
-        os.makedirs(env["CCSIM_CACHE_DIR"])
-        os.makedirs(env["CCSIM_CSV_DIR"])
-        print(f"[collect] cold-cache netmodel smoke: {binary}", file=sys.stderr)
-        subprocess.run([binary], check=True, env=env,
-                       stdout=subprocess.DEVNULL)
-        rates = {
+    rates, _, _ = run_figure_cold(
+        build_dir, NETMODEL_FIGURE,
+        lambda _, csv_dir: {
             f"NetModelSmoke/throughput_{model}":
-                netmodel_smoke_throughput(env["CCSIM_CSV_DIR"], model)
+                netmodel_smoke_throughput(csv_dir, model)
             for model in NETMODEL_SMOKE_MODELS
-        }
+        },
+        CCSIM_NETMODEL_SMOKE="1")
     for name, value in sorted(rates.items()):
         print(f"[collect] netmodel smoke: {name}={value:.3f}", file=sys.stderr)
     return rates

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Plots the paper-figure CSVs produced by the bench binaries.
+"""Plots the paper-figure CSVs produced by the bench binary.
 
 Usage:
-    for b in build/bench/fig*; do $b; done   # writes bench_results/*.csv
+    build/bench/ccsim_bench all              # writes bench_results/*.csv
     python3 tools/plot_figures.py [csv_dir] [out_dir]
 
 Each CSV has an x column (think time or partitioning degree) and one column
